@@ -1,17 +1,12 @@
 // Capacity-forecast bench: the planning layer's latency story.
 //
-// Three measurements, mirroring the capacity-planning pitch (decompose
-// history once, extrapolate cheaply, keep forecasting after raw eviction):
+// Two measurements, mirroring the capacity-planning pitch (decompose
+// history once, extrapolate cheaply):
 //   1. Decomposition ingest throughput — TrendSeasonDecomposition::observe
 //      over a quarter of diurnal windows, samples/sec.
 //   2. Forecast latency vs history length — CapacityForecaster::
 //      forecast_pool on 7 / 30 / 90 days of raw history, per-pool wall
 //      time for a 32-pool fleet.
-//   3. Raw vs tiered — the same 90-day forecasts against a store whose
-//      raw tail was evicted into a window tier sized to the window
-//      (bucket == window, so tier means ARE the raw window values): the
-//      forecasts must stay bit-identical to raw, and the tiered read path
-//      must not blow up the latency.
 //
 // Writes BENCH_forecast.json and exits non-zero when a margin is lost
 // (the Release CI smoke).
@@ -60,9 +55,7 @@ double total_demand(std::size_t pool, SimTime t) {
   return base * (1.0 + 0.25 * std::sin(phase));
 }
 
-// Time-major like a live simulator: retention evicts against the store's
-// advancing watermark, so a pool-major fill would drop every pool's early
-// windows except the last pool recorded.
+// Time-major, like a live simulator.
 void record_fleet(MetricStore* store, SimTime until) {
   for (SimTime t = 0; t < until; t += kWindow) {
     for (std::size_t p = 0; p < kPools; ++p) {
@@ -103,32 +96,12 @@ double time_fleet_forecast(const CapacityForecaster& forecaster, SimTime from,
   return seconds_since(t0) / static_cast<double>(kPools);
 }
 
-bool forecasts_identical(const std::vector<PoolCapacityForecast>& a,
-                         const std::vector<PoolCapacityForecast>& b) {
-  // The report pins depend on byte-stable formatting, so compare through
-  // the formatter (every numeric field is in the line) minus the one
-  // field that legitimately differs: which read path answered.
-  std::string fa = headroom::core::format_capacity_forecasts(a);
-  std::string fb = headroom::core::format_capacity_forecasts(b);
-  const auto scrub = [](std::string* s) {
-    for (std::string::size_type at = s->find(" history_exact = ");
-         at != std::string::npos; at = s->find(" history_exact = ", at + 1)) {
-      const std::string::size_type end = s->find(' ', at + 17);
-      s->erase(at, end - at);
-    }
-  };
-  scrub(&fa);
-  scrub(&fb);
-  return fa == fb;
-}
-
 }  // namespace
 
 int main() {
   headroom::bench::header(
-      "bench_forecast — capacity-forecast latency & tiered parity",
-      "forecasts stay cheap at quarter-scale history and survive raw "
-      "eviction bit-identically");
+      "bench_forecast — capacity-forecast latency",
+      "forecasts stay cheap at quarter-scale history");
 
   headroom::bench::JsonObject json;
   json.str("bench", "forecast")
@@ -159,7 +132,6 @@ int main() {
   const QueryEngine raw_engine(&raw);
   const CapacityForecaster raw_forecaster(&raw_engine, forecast_options());
 
-  std::vector<PoolCapacityForecast> raw_90;
   double raw_90_seconds = 0.0;
   for (const SimTime days : {SimTime{7}, SimTime{30}, SimTime{90}}) {
     std::vector<PoolCapacityForecast> forecasts;
@@ -168,48 +140,15 @@ int main() {
     std::printf("  forecast per pool, %3lld d raw history: %8.3f ms\n",
                 static_cast<long long>(days), per_pool * 1e3);
     json.num("raw_forecast_ms_" + std::to_string(days) + "d", per_pool * 1e3);
-    if (days == 90) {
-      raw_90 = forecasts;
-      raw_90_seconds = per_pool;
-    }
+    if (days == 90) raw_90_seconds = per_pool;
   }
 
-  // --- 3. Tiered parity after raw eviction -------------------------------
-  MetricStore tiered;
-  MetricStore::TieringPolicy policy;
-  policy.window_bucket_seconds = kWindow;
-  policy.day_bucket_seconds = kDay;
-  policy.window_tier_retention = 0;  // keep the window tier forever
-  tiered.set_tiering(policy);
-  tiered.set_retention(2 * kDay);
-  record_fleet(&tiered, kHistory);
-  const QueryEngine tiered_engine(&tiered);
-  const CapacityForecaster tiered_forecaster(&tiered_engine,
-                                             forecast_options());
-
-  std::vector<PoolCapacityForecast> tiered_90;
-  const double tiered_seconds =
-      time_fleet_forecast(tiered_forecaster, 0, kHistory, &tiered_90);
-  const bool raw_evicted = !tiered_engine.raw_covers(0, kHistory);
-  const bool parity = forecasts_identical(raw_90, tiered_90);
-  std::printf("  forecast per pool,  90 d tiered history: %8.3f ms\n",
-              tiered_seconds * 1e3);
-  std::printf("  raw evicted: %s   tiered == raw: %s\n",
-              raw_evicted ? "yes" : "NO", parity ? "yes" : "NO");
-  json.num("tiered_forecast_ms_90d", tiered_seconds * 1e3)
-      .boolean("raw_evicted", raw_evicted)
-      .boolean("tiered_parity", parity);
-
-  // Margins: a quarter-history forecast stays interactive (well under a
-  // telemetry window), and the tiered path is the same order of cost —
-  // not a fallback that rescans day digests per window.
+  // Margin: a quarter-history forecast stays interactive (well under a
+  // telemetry window).
   const bool latency_margin = raw_90_seconds <= 0.25;
-  const bool tiered_margin = tiered_seconds <= 4.0 * raw_90_seconds + 0.05;
-  json.boolean("latency_margin", latency_margin)
-      .boolean("tiered_margin", tiered_margin);
+  json.boolean("latency_margin", latency_margin);
 
-  const bool acceptance = latency_margin && tiered_margin && raw_evicted &&
-                          parity;
+  const bool acceptance = latency_margin;
   json.boolean("acceptance", acceptance);
   if (!json.write("BENCH_forecast.json")) {
     std::printf("  warning: could not write BENCH_forecast.json\n");

@@ -67,15 +67,14 @@ PoolCapacityForecast CapacityForecaster::forecast_pool(const PoolSpec& pool,
                               MetricKind::kActiveServers};
 
   // Replay history into the decomposition in window order. Total pool
-  // demand per window is mean per-server RPS x online servers — both
-  // window_value reads are exact from raw and remain exact means from the
-  // digest tiers after eviction.
+  // demand per window is mean per-server RPS x online servers; evicted
+  // windows read as dark and are skipped.
   ml::TrendSeasonDecomposition decomposition(options_.decomposition);
   for (SimTime t = from; t < to; t += window) {
     const std::optional<double> rps = engine_->window_value(rps_key, t);
     const std::optional<double> servers =
         engine_->window_value(servers_key, t);
-    if (!rps || !servers) continue;  // dark window (e.g. full outage)
+    if (!rps || !servers) continue;  // dark (e.g. full outage) or evicted
     const double total = *rps * *servers;
     decomposition.observe(t, total);
     out.last_demand_rps = total * options_.growth_multiplier;

@@ -58,7 +58,7 @@ struct PoolCapacityForecast {
   std::size_t servers = 0;          ///< Pool size (capacity units).
   double capacity_rps = 0.0;        ///< servers x target RPS/server.
   std::size_t windows_observed = 0; ///< History windows folded in.
-  bool history_exact = true;        ///< Every read answered from raw.
+  bool history_exact = true;        ///< False: part of the range was evicted.
   double last_demand_rps = 0.0;     ///< Final observed window's total RPS.
   double growth_per_day = 0.0;      ///< Trend slope, demand RPS per day.
   double peak_forecast_rps = 0.0;   ///< Max point forecast over the horizon.

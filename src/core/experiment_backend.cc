@@ -17,36 +17,6 @@ using telemetry::SimTime;
   return SeriesKey{datacenter, pool, SeriesKey::kPoolScope, metric};
 }
 
-/// Inner join of two query results on point start — the tiered-path
-/// analogue of telemetry::align over raw slices.
-struct JoinedPoints {
-  std::vector<double> x;
-  std::vector<double> y;
-};
-
-[[nodiscard]] JoinedPoints join_on_start(
-    const std::vector<query::QueryPoint>& a,
-    const std::vector<query::QueryPoint>& b) {
-  JoinedPoints out;
-  out.x.reserve(std::min(a.size(), b.size()));
-  out.y.reserve(std::min(a.size(), b.size()));
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i].start < b[j].start) {
-      ++i;
-    } else if (b[j].start < a[i].start) {
-      ++j;
-    } else {
-      out.x.push_back(a[i].value);
-      out.y.push_back(b[j].value);
-      ++i;
-      ++j;
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 void ExperimentObservations::append(const ExperimentObservations& other) {
@@ -62,56 +32,26 @@ ExperimentObservations observations_between(const query::QueryEngine& engine,
                                             std::uint32_t datacenter,
                                             std::uint32_t pool, SimTime from,
                                             SimTime to) {
+  // Evicted windows are gone: start at the raw-coverage boundary so the
+  // slices hold exactly the surviving windows. Zero-copy raw slices,
+  // bit-identical to reading the series directly (golden outputs depend on
+  // these bytes).
+  from = std::max(from, engine.store().evicted_before());
+  const auto rps = engine.raw_window(
+      pool_key(datacenter, pool, MetricKind::kRequestsPerSecond), from, to);
+  const auto active = engine.raw_window(
+      pool_key(datacenter, pool, MetricKind::kActiveServers), from, to);
+  const auto latency = engine.raw_window(
+      pool_key(datacenter, pool, MetricKind::kLatencyP95Ms), from, to);
+  const auto cpu = engine.raw_window(
+      pool_key(datacenter, pool, MetricKind::kCpuPercentAttributed), from, to);
+
+  // All four series share window boundaries by construction; align via
+  // the shared timestamps anyway for safety.
+  const telemetry::AlignedPair rps_active = telemetry::align(rps, active);
+  const telemetry::AlignedPair lat_cpu = telemetry::align(latency, cpu);
+
   ExperimentObservations obs;
-  if (engine.raw_covers(from, to)) {
-    // Exact path: zero-copy raw slices, bit-identical to reading the
-    // series directly (golden outputs depend on these bytes).
-    const auto rps =
-        engine.raw_window(pool_key(datacenter, pool,
-                                   MetricKind::kRequestsPerSecond),
-                          from, to);
-    const auto active = engine.raw_window(
-        pool_key(datacenter, pool, MetricKind::kActiveServers), from, to);
-    const auto latency = engine.raw_window(
-        pool_key(datacenter, pool, MetricKind::kLatencyP95Ms), from, to);
-    const auto cpu = engine.raw_window(
-        pool_key(datacenter, pool, MetricKind::kCpuPercentAttributed), from,
-        to);
-
-    // All four series share window boundaries by construction; align via
-    // the shared timestamps anyway for safety.
-    const telemetry::AlignedPair rps_active = telemetry::align(rps, active);
-    const telemetry::AlignedPair lat_cpu = telemetry::align(latency, cpu);
-
-    const std::size_t n = std::min(rps_active.x.size(), lat_cpu.x.size());
-    obs.total_rps.reserve(n);
-    obs.servers.reserve(n);
-    obs.latency_p95_ms.reserve(n);
-    obs.cpu_pct.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      obs.total_rps.push_back(rps_active.x[i] * rps_active.y[i]);
-      obs.servers.push_back(rps_active.y[i]);
-      obs.latency_p95_ms.push_back(lat_cpu.x[i]);
-      obs.cpu_pct.push_back(lat_cpu.y[i]);
-    }
-    return obs;
-  }
-
-  // Part of the range was evicted to the digest tiers: stitch
-  // native-resolution means (raw windows where raw survives, tier-bucket
-  // means on the evicted prefix) and join the four metrics on point start.
-  const auto fetch = [&](MetricKind metric) {
-    return engine
-        .run({pool_key(datacenter, pool, metric), from, to, /*resolution=*/0,
-              query::Aggregation::kMean})
-        .points;
-  };
-  const JoinedPoints rps_active =
-      join_on_start(fetch(MetricKind::kRequestsPerSecond),
-                    fetch(MetricKind::kActiveServers));
-  const JoinedPoints lat_cpu = join_on_start(
-      fetch(MetricKind::kLatencyP95Ms), fetch(MetricKind::kCpuPercentAttributed));
-
   const std::size_t n = std::min(rps_active.x.size(), lat_cpu.x.size());
   obs.total_rps.reserve(n);
   obs.servers.reserve(n);

@@ -57,14 +57,13 @@ class PoolExperimentBackend {
 };
 
 /// Assembles the experiment observations of one pool from its pool-scope
-/// series over [from, to), read through the resolution-aware query layer.
+/// series over [from, to), read through the query layer's raw windows.
 /// This is the single definition of "what an observation is" — the
 /// simulator backend reads its live store through it and the trace backend
 /// reads a recorded store through it, so a lossless trace round-trip
-/// reproduces observations bit-for-bit: when raw data covers the range the
-/// engine hands out the same zero-copy window slices as before, aligned on
-/// window start. Only when part of the range was evicted to digest tiers
-/// does the read degrade (gracefully) to tier-bucket means on that prefix.
+/// reproduces observations bit-for-bit: zero-copy window slices aligned on
+/// window start. Windows already evicted by retention are skipped; the
+/// result holds exactly the surviving windows of the range.
 [[nodiscard]] ExperimentObservations observations_between(
     const query::QueryEngine& engine, std::uint32_t datacenter,
     std::uint32_t pool, telemetry::SimTime from, telemetry::SimTime to);

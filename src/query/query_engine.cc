@@ -1,117 +1,11 @@
 #include "query/query_engine.h"
 
-#include <algorithm>
-#include <limits>
 #include <stdexcept>
-
-#include "stats/percentile.h"
-#include "telemetry/downsample.h"
 
 namespace headroom::query {
 
-namespace {
-
-using telemetry::DownsampledTier;
 using telemetry::SeriesView;
 using telemetry::SimTime;
-using telemetry::StreamingDigest;
-using telemetry::TimeSeries;
-
-[[nodiscard]] SimTime floor_to(SimTime t, SimTime grid) noexcept {
-  SimTime q = t / grid;
-  if (t < 0 && q * grid != t) --q;
-  return q * grid;
-}
-
-/// One output point under construction. Exact moments cover every
-/// aggregation except quantiles, which keep their source material: a
-/// merged digest for tier buckets, a contiguous value-column span for raw
-/// samples (same-bucket raw samples are adjacent in the column, so one
-/// span always suffices). At most one point — the eviction-boundary
-/// straddler — holds both.
-struct Accumulator {
-  SimTime start = 0;
-  std::size_t count = 0;
-  double sum = 0.0;
-  double min = std::numeric_limits<double>::infinity();
-  double max = -std::numeric_limits<double>::infinity();
-  std::optional<StreamingDigest> digest;  ///< kP95 tier sources only.
-  std::span<const double> raw;            ///< kP95 raw sources only.
-};
-
-void fold_moments(Accumulator& acc, std::size_t count, double sum, double min,
-                  double max) {
-  acc.count += count;
-  acc.sum += sum;
-  acc.min = std::min(acc.min, min);
-  acc.max = std::max(acc.max, max);
-}
-
-/// Appends-or-merges: tier and raw emission walk time in order, so only
-/// the point at the eviction boundary can collide, and it is always the
-/// back of the vector.
-Accumulator& point_at(std::vector<Accumulator>& points, SimTime start) {
-  if (!points.empty() && points.back().start == start) return points.back();
-  points.emplace_back();
-  points.back().start = start;
-  return points.back();
-}
-
-double finalize(const Accumulator& acc, Aggregation agg, bool* approx) {
-  switch (agg) {
-    case Aggregation::kMean:
-      // A single raw sample must come back bit-identical (sum/count would
-      // already give v/1 == v, but be explicit about the contract).
-      return acc.count == 1 ? acc.sum : acc.sum / static_cast<double>(acc.count);
-    case Aggregation::kSum:
-      return acc.sum;
-    case Aggregation::kCount:
-      return static_cast<double>(acc.count);
-    case Aggregation::kMin:
-      return acc.min;
-    case Aggregation::kMax:
-      return acc.max;
-    case Aggregation::kP95:
-      if (acc.digest.has_value()) {
-        *approx = true;
-        if (acc.raw.empty()) return acc.digest->quantile(0.95);
-        StreamingDigest merged = *acc.digest;
-        for (const double v : acc.raw) merged.add(v);
-        return merged.quantile(0.95);
-      }
-      if (acc.raw.size() == 1) return acc.raw[0];
-      return stats::percentile(acc.raw, 95.0);
-  }
-  return 0.0;
-}
-
-/// Emits the tier buckets overlapping [from, to) onto the output grid.
-/// The stored bucket width is a resolution floor: output spacing is
-/// max(resolution, bucket width), aligned to the absolute grid.
-void emit_tier(const DownsampledTier& tier, SimTime from, SimTime to,
-               SimTime resolution, bool want_digest,
-               std::vector<Accumulator>& points, std::size_t* scanned) {
-  const auto [first, last] = tier.bucket_range(from, to);
-  if (first == last) return;
-  const SimTime step = std::max(resolution, tier.bucket_seconds());
-  const std::span<const DownsampledTier::Bucket> buckets = tier.buckets();
-  for (std::size_t i = first; i < last; ++i) {
-    const DownsampledTier::Bucket& bucket = buckets[i];
-    Accumulator& acc = point_at(points, floor_to(bucket.start, step));
-    fold_moments(acc, bucket.digest.count(), bucket.digest.sum(),
-                 bucket.digest.min(), bucket.digest.max());
-    if (want_digest) {
-      if (acc.digest.has_value()) {
-        acc.digest->merge(bucket.digest);
-      } else {
-        acc.digest = bucket.digest;
-      }
-    }
-    ++*scanned;
-  }
-}
-
-}  // namespace
 
 QueryEngine::QueryEngine(const telemetry::MetricStore* store) : store_(store) {
   if (store == nullptr) {
@@ -128,107 +22,12 @@ SeriesView QueryEngine::raw_window(const telemetry::SeriesKey& key,
   return store_->series(key).slice(from, to);
 }
 
-QueryResult QueryEngine::run(const QueryRequest& request) const {
-  QueryResult out;
-  if (request.to <= request.from) return out;
-  const SimTime cutoff = store_->evicted_before();
-  const bool want_digest = request.aggregation == Aggregation::kP95;
-
-  std::vector<Accumulator> points;
-  bool used_window = false;
-  bool used_day = false;
-  bool used_raw = false;
-
-  // --- Evicted part of the range: digest tiers, coarse first --------------
-  if (request.from < cutoff) {
-    const SimTime evicted_to = std::min(request.to, cutoff);
-    const DownsampledTier& day = store_->day_tier(request.key);
-    const DownsampledTier& window = store_->window_tier(request.key);
-    const std::size_t before = out.scanned;
-    emit_tier(day, request.from, evicted_to, request.resolution, want_digest,
-              points, &out.scanned);
-    used_day = out.scanned != before;
-    // Promotion moves whole buckets oldest-first, so the window tier
-    // strictly follows the day tier in time — emit order stays sorted.
-    const std::size_t mid = out.scanned;
-    emit_tier(window, request.from, evicted_to, request.resolution,
-              want_digest, points, &out.scanned);
-    used_window = out.scanned != mid;
-  }
-
-  // --- Raw part of the range -----------------------------------------------
-  const SimTime raw_from = std::max(request.from, cutoff);
-  if (raw_from < request.to) {
-    const SeriesView slice =
-        store_->series(request.key).slice(raw_from, request.to);
-    const std::span<const double> values = slice.values();
-    std::size_t i = 0;
-    while (i < slice.size()) {
-      const SimTime t = slice.time_at(i);
-      const SimTime start =
-          request.resolution > 0 ? floor_to(t, request.resolution) : t;
-      std::size_t j = i + 1;
-      if (request.resolution > 0) {
-        while (j < slice.size() &&
-               floor_to(slice.time_at(j), request.resolution) == start) {
-          ++j;
-        }
-      }
-      Accumulator& acc = point_at(points, start);
-      const std::span<const double> run = values.subspan(i, j - i);
-      double sum = 0.0;
-      double mn = run[0];
-      double mx = run[0];
-      for (const double v : run) {
-        sum += v;
-        mn = std::min(mn, v);
-        mx = std::max(mx, v);
-      }
-      fold_moments(acc, run.size(), sum, mn, mx);
-      acc.raw = run;
-      i = j;
-    }
-    out.scanned += slice.size();
-    used_raw = !slice.empty();
-  }
-
-  out.points.reserve(points.size());
-  bool approx = false;
-  for (const Accumulator& acc : points) {
-    out.points.push_back({acc.start, finalize(acc, request.aggregation,
-                                              &approx)});
-  }
-  out.exact = !approx;
-
-  const int sources = (used_raw ? 1 : 0) + (used_window ? 1 : 0) +
-                      (used_day ? 1 : 0);
-  if (sources > 1) {
-    out.tier = SourceTier::kMixed;
-  } else if (used_raw) {
-    out.tier = SourceTier::kRaw;
-  } else if (used_window) {
-    out.tier = SourceTier::kWindowDigest;
-  } else if (used_day) {
-    out.tier = SourceTier::kDayDigest;
-  }
-  return out;
-}
-
 std::optional<double> QueryEngine::window_value(
     const telemetry::SeriesKey& key, SimTime t) const {
-  if (raw_covers(t, t + 1)) {
-    const SeriesView view = store_->series(key).slice(t, t + 1);
-    if (view.empty()) return std::nullopt;  // window dark, not evicted
-    return view.value_at(0);
-  }
-  // Evicted: answer at the finest surviving resolution — the digest
-  // bucket containing `t`, window tier first.
-  for (const DownsampledTier* tier :
-       {&store_->window_tier(key), &store_->day_tier(key)}) {
-    const auto [first, last] = tier->bucket_range(t, t + 1);
-    if (first != last) return tier->buckets()[first].digest.mean();
-  }
-  return std::nullopt;
+  if (!raw_covers(t, t + 1)) return std::nullopt;  // evicted
+  const SeriesView view = store_->series(key).slice(t, t + 1);
+  if (view.empty()) return std::nullopt;
+  return view.value_at(0);
 }
 
 }  // namespace headroom::query

@@ -1,105 +1,42 @@
-// Resolution-aware query layer over the tiered metric store.
+// Read path over the metric store's resident raw windows.
 //
-// Consumers of telemetry ask the same question at very different
-// granularities: the serve-mode report path wants one raw window, the RSM
-// planner wants a day of raw windows, a capacity dashboard wants a month
-// at day resolution. With downsampled tiers in the store (see
-// telemetry/downsample.h) those reads should not all walk raw samples —
-// netdata's query engine calls this points-reduction: route each part of
-// the requested range to the cheapest tier that satisfies the requested
-// resolution.
+// Consumers read telemetry one window or one contiguous range at a time:
+// the serve-mode report path wants one window, the RSM planner wants a
+// day of windows, the capacity forecaster replays a pool's history window
+// by window. All of them read raw samples still inside the store's
+// retention, so every answer is bit-identical to slicing the series
+// directly — the golden-pinned paths (planner observations, serve reports,
+// plan forecasts) route through this engine and stay byte-for-byte.
 //
-// The routing contract is exact where it matters: the store evicts raw
-// samples strictly below `evicted_before()`, so raw data covers
-// [evicted_before, watermark] and the tiers cover everything older. A
-// query whose range lies entirely in raw coverage is answered from raw
-// samples with bit-identical values to reading the series directly — the
-// golden-pinned paths (planner observations, serve reports) route through
-// this engine and stay byte-for-byte. Only the evicted part of a range
-// falls back to tier digests, where count/sum/mean/min/max stay exact and
-// quantiles carry the sketch's relative-accuracy bound (`exact` = false).
+// The store evicts raw samples strictly below `evicted_before()`, so raw
+// data covers [evicted_before, watermark]. Nothing older survives: a read
+// of an evicted window finds nothing, exactly like a dark window.
 #pragma once
 
-#include <cstddef>
 #include <optional>
-#include <vector>
 
 #include "telemetry/metric_store.h"
 
 namespace headroom::query {
-
-/// Per-bucket reduction applied to the samples of each output point.
-enum class Aggregation : std::uint8_t {
-  kMean,
-  kSum,
-  kCount,
-  kMin,
-  kMax,
-  kP95,
-};
-
-/// Which storage tier(s) produced a result.
-enum class SourceTier : std::uint8_t {
-  kNone,          ///< Nothing stored in the range.
-  kRaw,           ///< Raw columnar samples only.
-  kWindowDigest,  ///< Per-window digest tier only.
-  kDayDigest,     ///< Per-day digest tier only.
-  kMixed,         ///< Stitched across tiers (range straddled a boundary).
-};
-
-struct QueryRequest {
-  telemetry::SeriesKey key;
-  telemetry::SimTime from = 0;  ///< Inclusive.
-  telemetry::SimTime to = 0;    ///< Exclusive.
-  /// Desired output point spacing in seconds. 0 = native: one point per
-  /// raw sample (or per tier bucket on the evicted part). Otherwise
-  /// output points sit on the absolute (epoch-zero-aligned) `resolution`
-  /// grid — NOT aligned to `from`; sources finer than the grid are
-  /// reduced, sources coarser than the grid keep their own (coarser)
-  /// spacing — stored resolution is a floor.
-  telemetry::SimTime resolution = 0;
-  Aggregation aggregation = Aggregation::kMean;
-};
-
-struct QueryPoint {
-  telemetry::SimTime start = 0;
-  double value = 0.0;
-};
-
-struct QueryResult {
-  std::vector<QueryPoint> points;  ///< Time-ordered.
-  SourceTier tier = SourceTier::kNone;
-  /// False when any point is a digest quantile estimate (bounded by the
-  /// sketch's relative accuracy); all other aggregations are exact from
-  /// any tier.
-  bool exact = true;
-  /// Raw samples + tier buckets visited — the cost gauge the benches and
-  /// routing tests read.
-  std::size_t scanned = 0;
-};
 
 class QueryEngine {
  public:
   /// `store` must outlive the engine.
   explicit QueryEngine(const telemetry::MetricStore* store);
 
-  [[nodiscard]] QueryResult run(const QueryRequest& request) const;
-
   /// True when [from, to) lies entirely inside raw coverage for every
   /// series (eviction is store-global, so this is key-independent).
   [[nodiscard]] bool raw_covers(telemetry::SimTime from,
                                 telemetry::SimTime to) const noexcept;
 
-  /// Zero-copy raw window [from, to) of a series — the exact slice the
-  /// pre-tiering readers took. Callers that need bit-identical raw reads
-  /// (planner observations) use this after checking raw_covers().
+  /// Zero-copy raw window [from, to) of a series: the resident samples in
+  /// the range (an evicted prefix simply contributes none).
   [[nodiscard]] telemetry::SeriesView raw_window(
       const telemetry::SeriesKey& key, telemetry::SimTime from,
       telemetry::SimTime to) const;
 
-  /// Value of the single window starting exactly at `t`: the raw sample
-  /// when raw covers it (bit-identical to slicing the series), else the
-  /// mean of the tier bucket containing `t`. nullopt when nothing stored.
+  /// Value of the single window starting exactly at `t`, bit-identical to
+  /// slicing the series. nullopt when the window is dark or evicted.
   [[nodiscard]] std::optional<double> window_value(
       const telemetry::SeriesKey& key, telemetry::SimTime t) const;
 

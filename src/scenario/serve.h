@@ -23,7 +23,7 @@
 // full observation history by then, the experiment only ever reads forward
 // from its cursor, and the rolling planners hold their own ring — so
 // resident telemetry is O(retention), not O(elapsed), under an endless
-// feed. Evicted samples fold into per-series archive digests.
+// feed. Evicted samples are dropped.
 #pragma once
 
 #include <cstdint>

@@ -101,7 +101,7 @@ class FleetSimulator {
     return store_;
   }
   /// Bounds the store to a rolling window (0 = keep everything): evicted
-  /// samples fold into per-series archive digests. Serve mode sets this
+  /// samples are dropped. Serve mode sets this
   /// once steady-state begins so resident telemetry is O(retention), not
   /// O(elapsed). See MetricStore::set_retention.
   void set_store_retention(SimTime retention) {

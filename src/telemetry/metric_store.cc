@@ -1,8 +1,6 @@
 #include "telemetry/metric_store.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <stdexcept>
 
 namespace headroom::telemetry {
@@ -36,19 +34,12 @@ void reserve_for_append(TimeSeries& series, std::size_t extra) {
 
 void MetricStore::record(const SeriesKey& key, SimTime window_start,
                          double value) {
-  // Validate the digest's precondition before mutating anything, so a
-  // rejected sample cannot leave series/digest/sample_count() disagreeing.
-  if (summaries_enabled_ && !std::isfinite(value)) {
-    throw std::invalid_argument(
-        "MetricStore::record: non-finite sample with summaries enabled");
-  }
   TimeSeries& series = series_[key];
   if (series.empty() && new_series_reserve_ > 0) {
     series.reserve(new_series_reserve_);
   }
   series.append(window_start, value);
   ++samples_;
-  if (summaries_enabled_) digests_[key].add(value);
   note_window(window_start);
 }
 
@@ -65,80 +56,10 @@ void MetricStore::note_window(SimTime window_start) {
   for (auto& [key, series] : series_) {
     const std::size_t drop = series.first_index_at_or_after(cutoff);
     if (drop == 0) continue;
-    StreamingDigest& archive = archived_[key];
-    DownsampledTier* tier = nullptr;
-    if (tiering_) {
-      tier = &window_tiers_
-                  .try_emplace(key, tiering_->window_bucket_seconds)
-                  .first->second;
-    }
-    const std::span<const double> doomed = series.values().subspan(0, drop);
-    for (std::size_t i = 0; i < drop; ++i) {
-      const double v = doomed[i];
-      // Non-finite values are legal in the store (summaries off); neither
-      // the archive sketch nor a tier digest can hold them, so they evict
-      // unsummarized.
-      if (!std::isfinite(v)) continue;
-      archive.add(v);
-      if (tier != nullptr) tier->fold(series.time_at(i), v);
-    }
     series.drop_front(drop);
     samples_ -= drop;
     evicted_samples_ += drop;
   }
-  // Tier promotion rides the same sweep: window-tier buckets past the
-  // promotion horizon merge (exactly) into the day tier and drop.
-  if (tiering_ && tiering_->window_tier_retention > 0) {
-    const SimTime promote_before = watermark_ - tiering_->window_tier_retention;
-    for (auto& [key, tier] : window_tiers_) {
-      if (tier.empty() || tier.start() + tier.bucket_seconds() > promote_before) {
-        continue;
-      }
-      DownsampledTier& day =
-          day_tiers_.try_emplace(key, tiering_->day_bucket_seconds)
-              .first->second;
-      tier.promote_into(day, promote_before);
-    }
-  }
-}
-
-void MetricStore::set_tiering(const TieringPolicy& policy) {
-  if (tiering_) {
-    throw std::logic_error("MetricStore::set_tiering: already enabled");
-  }
-  if (policy.window_bucket_seconds <= 0 || policy.day_bucket_seconds <= 0 ||
-      policy.day_bucket_seconds < policy.window_bucket_seconds ||
-      policy.day_bucket_seconds % policy.window_bucket_seconds != 0 ||
-      policy.window_tier_retention < 0) {
-    throw std::invalid_argument("MetricStore::set_tiering: bad policy");
-  }
-  tiering_ = policy;
-}
-
-const MetricStore::TieringPolicy& MetricStore::tiering_policy() const {
-  if (!tiering_) {
-    throw std::logic_error("MetricStore::tiering_policy: tiering disabled");
-  }
-  return *tiering_;
-}
-
-const DownsampledTier& MetricStore::window_tier(const SeriesKey& key) const {
-  static const DownsampledTier kEmpty{1};
-  const auto it = window_tiers_.find(key);
-  return it == window_tiers_.end() ? kEmpty : it->second;
-}
-
-const DownsampledTier& MetricStore::day_tier(const SeriesKey& key) const {
-  static const DownsampledTier kEmpty{1};
-  const auto it = day_tiers_.find(key);
-  return it == day_tiers_.end() ? kEmpty : it->second;
-}
-
-std::size_t MetricStore::tier_memory_bytes() const noexcept {
-  std::size_t bytes = 0;
-  for (const auto& [key, tier] : window_tiers_) bytes += tier.memory_bytes();
-  for (const auto& [key, tier] : day_tiers_) bytes += tier.memory_bytes();
-  return bytes;
 }
 
 void MetricStore::set_retention(SimTime lookback_seconds) {
@@ -161,13 +82,6 @@ void MetricStore::set_eviction_floor(SimTime floor) {
   if (watermark_valid_) note_window(watermark_);
 }
 
-const StreamingDigest& MetricStore::archived_summary(
-    const SeriesKey& key) const {
-  static const StreamingDigest kEmpty;
-  const auto it = archived_.find(key);
-  return it == archived_.end() ? kEmpty : it->second;
-}
-
 TimeSeries& MetricStore::resolve_series(const SeriesKey& key,
                                         std::size_t run_hint) {
   TimeSeries& series = series_[key];
@@ -179,38 +93,9 @@ TimeSeries& MetricStore::resolve_series(const SeriesKey& key,
   return series;
 }
 
-void MetricStore::merge_with_digests(
-    const std::vector<MetricBuffer::Entry>& entries) {
-  // Straightforward run-at-a-time walk; the digest update dominates, so no
-  // plan caching on this path.
-  std::size_t i = 0;
-  while (i < entries.size()) {
-    std::size_t j = i + 1;
-    while (j < entries.size() && entries[j].key == entries[i].key) ++j;
-    TimeSeries& series = resolve_series(entries[i].key, j - i);
-    StreamingDigest& digest = digests_[entries[i].key];
-    for (; i < j; ++i) {
-      // Same invariant as record(): reject before mutating, then the
-      // digest add (pre-validated) cannot throw after the append landed.
-      if (!std::isfinite(entries[i].value)) {
-        throw std::invalid_argument(
-            "MetricStore::merge: non-finite sample with summaries enabled");
-      }
-      series.append(entries[i].window_start, entries[i].value);
-      digest.add(entries[i].value);
-      ++samples_;
-    }
-  }
-  note_window(max_window_start(entries));
-}
-
 void MetricStore::merge(const MetricBuffer& buffer) {
   const std::vector<MetricBuffer::Entry>& entries = buffer.entries();
   if (entries.empty()) return;
-  if (summaries_enabled_) {
-    merge_with_digests(entries);
-    return;
-  }
 
   if (merge_plans_.size() > 64) merge_plans_.clear();  // transient producers
   std::vector<MergePlanEntry>& plan = merge_plans_[&buffer];
@@ -294,47 +179,6 @@ AlignedPair MetricStore::pool_scatter(std::uint32_t datacenter,
                pool_series(datacenter, pool, y));
 }
 
-void MetricStore::set_summaries_enabled(bool enabled) {
-  if (enabled == summaries_enabled_) return;
-  digests_.clear();
-  summaries_enabled_ = false;
-  if (!enabled) return;
-  // Backfill: a scan-built digest is identical to one maintained from the
-  // first append (bucket counts are order-independent and the scan order is
-  // the append order). The flag flips only after the whole backfill
-  // succeeds — a stored non-finite value (legal while summaries are off)
-  // aborts the enable and leaves the store consistently disabled rather
-  // than holding partially built digests.
-  try {
-    for (const auto& [key, series] : series_) {
-      StreamingDigest& digest = digests_[key];
-      for (const double v : series.values()) digest.add(v);
-    }
-  } catch (...) {
-    digests_.clear();
-    throw;
-  }
-  summaries_enabled_ = true;
-}
-
-StreamingDigest MetricStore::summary(const SeriesKey& key) const {
-  if (summaries_enabled_) {
-    const auto it = digests_.find(key);
-    if (it != digests_.end()) return it->second;
-  }
-  StreamingDigest digest;
-  for (const double v : series(key).values()) digest.add(v);
-  return digest;
-}
-
-const StreamingDigest& MetricStore::maintained_summary(
-    const SeriesKey& key) const {
-  static const StreamingDigest kEmpty;
-  if (!summaries_enabled_) return kEmpty;
-  const auto it = digests_.find(key);
-  return it == digests_.end() ? kEmpty : it->second;
-}
-
 void MetricStore::reserve_additional(std::size_t additional_windows) {
   new_series_reserve_ = additional_windows;
   // Geometric-growth-aware (not an exact reserve): repeated calls — the
@@ -347,11 +191,6 @@ void MetricStore::reserve_additional(std::size_t additional_windows) {
 
 void MetricStore::clear() {
   series_.clear();
-  digests_.clear();
-  archived_.clear();
-  tiering_.reset();
-  window_tiers_.clear();
-  day_tiers_.clear();
   merge_plans_.clear();  // cached pointers die with the series
   samples_ = 0;
   new_series_reserve_ = 0;

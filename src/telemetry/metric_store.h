@@ -11,20 +11,15 @@
 // producers batch samples into MetricBuffers that merge() replays grouped
 // per key — one hash lookup and one capacity check per series per batch
 // instead of per sample — preserving the fixed-shard-order determinism the
-// parallel fleet stepper relies on. An opt-in streaming-summary mode
-// maintains a mergeable StreamingDigest per series at append time, so
-// interactive consumers can read quantile estimates without materializing
-// a distribution; exact percentiles over `series(key).values()` stay the
-// default wherever golden outputs pin bytes.
+// parallel fleet stepper relies on. An opt-in rolling retention bounds
+// live feeds to a trailing window of raw samples; older samples are
+// dropped, not summarized.
 #pragma once
 
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
-#include "telemetry/downsample.h"
 #include "telemetry/metrics.h"
-#include "telemetry/streaming_digest.h"
 #include "telemetry/time_series.h"
 
 namespace headroom::telemetry {
@@ -110,89 +105,25 @@ class MetricStore {
                                          std::uint32_t pool, MetricKind x,
                                          MetricKind y) const;
 
-  // --- Streaming summaries (opt-in fast path) ------------------------------
-  /// When enabled, every append additionally feeds a per-series
-  /// StreamingDigest; existing series are backfilled on enable. Costs one
-  /// sketch update per sample, so it is off by default.
-  void set_summaries_enabled(bool enabled);
-  [[nodiscard]] bool summaries_enabled() const noexcept {
-    return summaries_enabled_;
-  }
-  /// Count/sum/min/max and approximate quantiles of a series without
-  /// materializing its distribution. Returns the maintained digest when
-  /// summaries are enabled, else builds one by scanning the value column
-  /// (identical sketch either way: bucket counts are order-independent).
-  /// Copies the sketch; for repeated queries on the enabled fast path use
-  /// maintained_summary().
-  [[nodiscard]] StreamingDigest summary(const SeriesKey& key) const;
-  /// Zero-copy view of the maintained digest. Returns an empty static
-  /// digest when summaries are disabled or the key is absent; valid until
-  /// set_summaries_enabled() or clear().
-  [[nodiscard]] const StreamingDigest& maintained_summary(
-      const SeriesKey& key) const;
-
   // --- Rolling retention (opt-in, for unbounded live feeds) ----------------
   /// Bounds the store to the trailing `lookback_seconds` of every series:
   /// after each append batch, samples whose window start falls before
   /// (newest window seen − lookback) are evicted, so resident memory is
   /// O(lookback) under an endless feed instead of O(history). Evicted
-  /// values are folded into a per-series archive digest (mergeable, see
-  /// archived_summary()) before they are dropped, so lifetime statistics
-  /// survive eviction. 0 disables (the default — batch runs keep full
-  /// history; golden outputs depend on it). Eviction invalidates
-  /// outstanding values() spans and SeriesViews.
+  /// samples are dropped and counted (evicted_samples()). 0 disables (the
+  /// default — batch runs keep full history; golden outputs depend on it).
+  /// Eviction invalidates outstanding values() spans and SeriesViews.
   void set_retention(SimTime lookback_seconds);
   [[nodiscard]] SimTime retention() const noexcept { return retention_; }
   /// Samples evicted by the retention sweep since construction/clear().
   [[nodiscard]] std::size_t evicted_samples() const noexcept {
     return evicted_samples_;
   }
-  /// Digest over the samples evicted from `key` (empty static digest when
-  /// nothing was evicted). Merging it with summary(key) reconstructs the
-  /// lifetime sketch: digest bucket merges are exact.
-  [[nodiscard]] const StreamingDigest& archived_summary(
-      const SeriesKey& key) const;
-
-  // --- Downsampled tiers (opt-in, layered over retention) ------------------
-  /// Tier widths and promotion horizon for set_tiering().
-  struct TieringPolicy {
-    /// Fine tier: one digest bucket per this many seconds ("per-window
-    /// digest" at the paper's 1 h reporting granularity by default).
-    SimTime window_bucket_seconds = 3600;
-    /// Coarse tier: one digest bucket per day.
-    SimTime day_bucket_seconds = 86400;
-    /// Window-tier buckets whose end falls more than this behind the
-    /// watermark are merged into the day tier and dropped (exact digest
-    /// merges). 0 keeps the window tier forever.
-    SimTime window_tier_retention = 7 * 86400;
-  };
-
-  /// Enables downsampled tiers. From then on the retention sweep folds
-  /// every evicted sample into the per-series window tier (in addition to
-  /// the archive digest), and promotes window-tier buckets past the
-  /// promotion horizon into the day tier — so at any instant raw data
-  /// covers [evicted_before(), watermark] and the tiers cover everything
-  /// older. Enable before the first sweep: samples already evicted are in
-  /// the archive digests only. Throws std::invalid_argument on a
-  /// non-positive or inverted policy, or when the day bucket width is not
-  /// a multiple of the window bucket width (promotion folds whole window
-  /// buckets, so a non-divisible day width would misattribute straddling
-  /// buckets in time); std::logic_error if already enabled.
-  void set_tiering(const TieringPolicy& policy);
-  [[nodiscard]] bool tiering_enabled() const noexcept {
-    return tiering_.has_value();
-  }
-  [[nodiscard]] const TieringPolicy& tiering_policy() const;
-  /// Per-series tiers; empty static tier when absent or tiering is off.
-  [[nodiscard]] const DownsampledTier& window_tier(const SeriesKey& key) const;
-  [[nodiscard]] const DownsampledTier& day_tier(const SeriesKey& key) const;
-  /// Eviction cutoff: every sample with window start >= this is still raw
-  /// (0 until the first sweep). The query layer's raw-coverage boundary.
+  /// Eviction cutoff: every sample with window start >= this is still
+  /// resident (0 until the first sweep). The query layer's raw-coverage boundary.
   [[nodiscard]] SimTime evicted_before() const noexcept {
     return evicted_before_;
   }
-  /// Estimated heap footprint of all tier buckets (bench gauge).
-  [[nodiscard]] std::size_t tier_memory_bytes() const noexcept;
 
   /// Lower bound on the retention sweep: samples whose window start is at
   /// or after the floor survive eviction regardless of retention. Live
@@ -218,20 +149,13 @@ class MetricStore {
   /// capacity hint and an additional `run_hint` (the length of the
   /// contiguous same-key run about to be appended).
   TimeSeries& resolve_series(const SeriesKey& key, std::size_t run_hint);
-  void merge_with_digests(const std::vector<MetricBuffer::Entry>& entries);
   /// Advances the retention watermark and, when the cutoff moved, sweeps
-  /// every series: archives then drops samples older than the cutoff.
+  /// every series: drops samples older than the cutoff.
   void note_window(SimTime window_start);
 
   std::unordered_map<SeriesKey, TimeSeries, SeriesKeyHash> series_;
-  std::unordered_map<SeriesKey, StreamingDigest, SeriesKeyHash> digests_;
-  std::unordered_map<SeriesKey, StreamingDigest, SeriesKeyHash> archived_;
-  std::optional<TieringPolicy> tiering_;
-  std::unordered_map<SeriesKey, DownsampledTier, SeriesKeyHash> window_tiers_;
-  std::unordered_map<SeriesKey, DownsampledTier, SeriesKeyHash> day_tiers_;
   std::size_t samples_ = 0;
   std::size_t new_series_reserve_ = 0;
-  bool summaries_enabled_ = false;
   SimTime retention_ = 0;           ///< 0 = keep full history.
   SimTime watermark_ = 0;           ///< Newest window start seen.
   bool watermark_valid_ = false;

@@ -1,7 +1,7 @@
 // CapacityForecaster: exhaustion dates with bands over QueryEngine-read
 // history. The synthetic linear-growth case pins the forecast against the
-// analytic crossing; the tiered fixture pins that forecasts survive raw
-// eviction and stay bit-identical to raw wherever raw coverage exists.
+// analytic crossing; the eviction case pins that evicted windows are
+// flagged and skipped, leaving the surviving windows' forecast unchanged.
 #include "core/capacity_forecast.h"
 
 #include <gtest/gtest.h>
@@ -196,57 +196,43 @@ TEST(CapacityForecaster, DarkWindowsAreSkippedNotZeroed) {
   EXPECT_FALSE(f.exhausts);
 }
 
-TEST(CapacityForecaster, TieredHistoryKeepsForecastingAfterRawEviction) {
-  // Two identical histories; one store evicts raw aggressively into a
-  // 120 s window tier (bucket == window, so tier means ARE the raw window
-  // values). The forecast must keep working after eviction and, because
-  // every per-window read is numerically unchanged, stay bit-identical to
-  // the all-raw forecast.
+TEST(CapacityForecaster, EvictedHistoryIsFlaggedAndSkipped) {
+  // Two identical histories; one store evicts raw aggressively. Evicted
+  // windows read as dark, so forecasting the whole range on the evicted
+  // store must equal forecasting only the surviving windows on the full
+  // store — flagged inexact, and otherwise bit-identical.
   constexpr SimTime kEnd = 2 * 86400;
   MetricStore raw;
   record_linear_history(&raw, kEnd);
 
-  MetricStore tiered;
-  MetricStore::TieringPolicy policy;
-  policy.window_bucket_seconds = kWindow;
-  policy.day_bucket_seconds = 86400;
-  policy.window_tier_retention = 0;  // keep the window tier forever
-  tiered.set_tiering(policy);
-  tiered.set_retention(3600);
-  record_linear_history(&tiered, kEnd);
+  MetricStore evicted;
+  evicted.set_retention(3600);
+  record_linear_history(&evicted, kEnd);
+  const SimTime cutoff = evicted.evicted_before();
+  ASSERT_GT(cutoff, 0);
 
   const query::QueryEngine raw_engine(&raw);
-  const query::QueryEngine tiered_engine(&tiered);
+  const query::QueryEngine evicted_engine(&evicted);
   ASSERT_TRUE(raw_engine.raw_covers(0, kEnd));
-  ASSERT_FALSE(tiered_engine.raw_covers(0, kEnd));
+  ASSERT_FALSE(evicted_engine.raw_covers(0, kEnd));
 
   CapacityForecastOptions options;
   options.window_seconds = kWindow;
   options.horizon_seconds = 86400;
   options.critical_seconds = 86400;
   const CapacityForecaster raw_forecaster(&raw_engine, options);
-  const CapacityForecaster tiered_forecaster(&tiered_engine, options);
+  const CapacityForecaster evicted_forecaster(&evicted_engine, options);
 
   const PoolCapacityForecast a =
-      raw_forecaster.forecast_pool(ten_server_pool(), 0, kEnd);
+      raw_forecaster.forecast_pool(ten_server_pool(), cutoff, kEnd);
   const PoolCapacityForecast b =
-      tiered_forecaster.forecast_pool(ten_server_pool(), 0, kEnd);
+      evicted_forecaster.forecast_pool(ten_server_pool(), 0, kEnd);
 
   EXPECT_TRUE(a.history_exact);
-  EXPECT_FALSE(b.history_exact) << "tiered history must be flagged";
+  EXPECT_FALSE(b.history_exact) << "evicted history must be flagged";
+  EXPECT_EQ(b.windows_observed,
+            static_cast<std::size_t>((kEnd - cutoff) / kWindow));
   EXPECT_EQ(a.windows_observed, b.windows_observed);
-  // Bit-identical, not just close: the report pins depend on it.
-  EXPECT_EQ(a.last_demand_rps, b.last_demand_rps);
-  EXPECT_EQ(a.growth_per_day, b.growth_per_day);
-  EXPECT_EQ(a.peak_forecast_rps, b.peak_forecast_rps);
-  EXPECT_EQ(a.peak_upper_rps, b.peak_upper_rps);
-  EXPECT_EQ(a.exhausts, b.exhausts);
-  EXPECT_EQ(a.exhaustion_time, b.exhaustion_time);
-  EXPECT_EQ(a.exhaustion_earliest, b.exhaustion_earliest);
-  EXPECT_EQ(a.exhaustion_latest, b.exhaustion_latest);
-  EXPECT_EQ(a.risk, b.risk);
-  EXPECT_EQ(a.recommended_additional_servers,
-            b.recommended_additional_servers);
 
   // The formatted report lines agree except for the history_exact flag.
   std::string line_a = format_capacity_forecasts({a});

@@ -65,6 +65,22 @@ TEST(TraceBackend, ObserveReturnsConsecutiveWindowSlices) {
   ASSERT_EQ(second.size(), 6u);
   EXPECT_DOUBLE_EQ(second.total_rps[0], 104.0 * 8.0);
   EXPECT_EQ(backend.cursor(), backend.trace_end());
+
+  // A range straddling the eviction cutoff yields exactly the surviving
+  // raw windows: retention 4 windows behind watermark 9 keeps 5..9.
+  MetricStore evicted = make_trace(10);
+  evicted.set_retention(4 * kWindow);
+  ASSERT_EQ(evicted.evicted_before(), 5 * kWindow);
+  const ExperimentObservations straddle =
+      observations_between(evicted, 0, 0, 2 * kWindow, 8 * kWindow);
+  ASSERT_EQ(straddle.size(), 3u);
+  for (std::size_t i = 0; i < straddle.size(); ++i) {
+    const double x = static_cast<double>(5 + i);
+    EXPECT_EQ(straddle.total_rps[i], (100.0 + x) * 8.0) << i;
+    EXPECT_EQ(straddle.servers[i], 8.0) << i;
+    EXPECT_EQ(straddle.latency_p95_ms[i], 20.0 + 0.5 * x) << i;
+    EXPECT_EQ(straddle.cpu_pct[i], 40.0 + 0.25 * x) << i;
+  }
 }
 
 TEST(TraceBackend, ObservationsMatchTheSimBackendOnTheSameStore) {

@@ -2,11 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <stdexcept>
-#include <vector>
 
-#include "stats/percentile.h"
 #include "telemetry/metric_store.h"
 
 namespace headroom::query {
@@ -33,16 +30,14 @@ TEST(QueryEngine, RejectsNullStore) {
 TEST(QueryEngine, EmptyStoreAndEmptyRange) {
   MetricStore store;
   const QueryEngine engine(&store);
-  QueryResult r = engine.run({kCpu, 0, 86400, 0, Aggregation::kMean});
-  EXPECT_TRUE(r.points.empty());
-  EXPECT_EQ(r.tier, SourceTier::kNone);
-  EXPECT_TRUE(r.exact);
-  EXPECT_EQ(r.scanned, 0u);
+  EXPECT_TRUE(engine.raw_covers(0, 86400));
+  EXPECT_TRUE(engine.raw_window(kCpu, 0, 86400).empty());
+  EXPECT_FALSE(engine.window_value(kCpu, 0).has_value());
 
   store.record(kCpu, 0, 1.0);
-  r = engine.run({kCpu, 120, 120, 0, Aggregation::kMean});  // to <= from
-  EXPECT_TRUE(r.points.empty());
-  EXPECT_EQ(r.tier, SourceTier::kNone);
+  EXPECT_TRUE(engine.raw_window(kCpu, 120, 120).empty());  // to <= from
+  EXPECT_FALSE(engine.raw_covers(120, 0));
+  EXPECT_FALSE(engine.window_value(kCpu, 120).has_value());  // dark window
 }
 
 TEST(QueryEngine, RawNativeResolutionIsBitIdenticalToSeries) {
@@ -52,224 +47,30 @@ TEST(QueryEngine, RawNativeResolutionIsBitIdenticalToSeries) {
 
   const QueryEngine engine(&store);
   ASSERT_TRUE(engine.raw_covers(0, 86400));
-  const QueryResult r = engine.run({kCpu, 3600, 7200, 0, Aggregation::kMean});
-  EXPECT_EQ(r.tier, SourceTier::kRaw);
-  EXPECT_TRUE(r.exact);
-  ASSERT_EQ(r.points.size(), 30u);
-  EXPECT_EQ(r.scanned, 30u);
-
-  const telemetry::SeriesView direct = engine.raw_window(kCpu, 3600, 7200);
-  ASSERT_EQ(direct.size(), r.points.size());
-  for (std::size_t i = 0; i < direct.size(); ++i) {
-    EXPECT_EQ(r.points[i].start, direct.time_at(i));
+  const telemetry::SeriesView window = engine.raw_window(kCpu, 3600, 7200);
+  ASSERT_EQ(window.size(), 30u);
+  const telemetry::TimeSeries& series = store.series(kCpu);
+  for (std::size_t i = 0; i < window.size(); ++i) {
+    const SimTime t = window.time_at(i);
+    const std::size_t at = static_cast<std::size_t>(t / 120);
+    EXPECT_EQ(t, series.time_at(at));
     // Bit-identical, not just close: the golden-pinned paths rely on it.
-    EXPECT_EQ(r.points[i].value, direct.value_at(i));
-  }
-}
-
-TEST(QueryEngine, RawResolutionGridReduces) {
-  MetricStore store;
-  for (SimTime t = 0; t < 3600; t += 120) {
-    store.record(kCpu, t, static_cast<double>(t / 120));  // 0,1,...,29
-  }
-  const QueryEngine engine(&store);
-
-  const QueryResult mean = engine.run({kCpu, 0, 3600, 600, Aggregation::kMean});
-  ASSERT_EQ(mean.points.size(), 6u);  // five 120 s samples per 600 s point
-  EXPECT_EQ(mean.points[0].start, 0);
-  EXPECT_EQ(mean.points[1].start, 600);
-  EXPECT_DOUBLE_EQ(mean.points[0].value, 2.0);  // mean of 0..4
-  EXPECT_DOUBLE_EQ(mean.points[5].value, 27.0);  // mean of 25..29
-
-  const QueryResult sum = engine.run({kCpu, 0, 3600, 600, Aggregation::kSum});
-  EXPECT_DOUBLE_EQ(sum.points[0].value, 10.0);
-  const QueryResult cnt = engine.run({kCpu, 0, 3600, 600, Aggregation::kCount});
-  EXPECT_DOUBLE_EQ(cnt.points[0].value, 5.0);
-  const QueryResult mn = engine.run({kCpu, 0, 3600, 600, Aggregation::kMin});
-  EXPECT_DOUBLE_EQ(mn.points[3].value, 15.0);
-  const QueryResult mx = engine.run({kCpu, 0, 3600, 600, Aggregation::kMax});
-  EXPECT_DOUBLE_EQ(mx.points[3].value, 19.0);
-
-  // Grid is absolute (floor(t / res) * res), not from-relative: an offset
-  // request lands on the same grid starts.
-  const QueryResult off = engine.run({kCpu, 60, 1300, 600, Aggregation::kMean});
-  ASSERT_EQ(off.points.size(), 3u);
-  EXPECT_EQ(off.points[0].start, 0);
-  EXPECT_EQ(off.points[1].start, 600);
-  EXPECT_EQ(off.points[2].start, 1200);
-}
-
-TEST(QueryEngine, RawP95IsExactPercentile) {
-  MetricStore store;
-  std::vector<double> values;
-  std::uint64_t state = 99;
-  for (SimTime t = 0; t < 3600; t += 120) {
-    const double v = noise(state);
-    store.record(kCpu, t, v);
-    values.push_back(v);
-  }
-  const QueryEngine engine(&store);
-  const QueryResult r = engine.run({kCpu, 0, 3600, 3600, Aggregation::kP95});
-  ASSERT_EQ(r.points.size(), 1u);
-  EXPECT_TRUE(r.exact);
-  EXPECT_EQ(r.points[0].value, stats::percentile(values, 95.0));
-}
-
-/// Fixture with a tiered store: three days at 120 s cadence, raw retention
-/// two hours, window buckets promoted to the day tier after one day.
-class TieredQueryTest : public ::testing::Test {
- protected:
-  TieredQueryTest() {
-    MetricStore::TieringPolicy policy;
-    policy.window_bucket_seconds = 3600;
-    policy.day_bucket_seconds = 86400;
-    policy.window_tier_retention = 86400;
-    store_.set_tiering(policy);
-    store_.set_retention(7200);
-    std::uint64_t state = 12345;
-    for (SimTime t = 0; t < kHorizon; t += 120) {
-      const double v = 30.0 + noise(state);
-      store_.record(kCpu, t, v);
-      values_.push_back(v);
-    }
+    EXPECT_EQ(window.value_at(i), series.value_at(at));
+    const auto value = engine.window_value(kCpu, t);
+    ASSERT_TRUE(value.has_value());
+    EXPECT_EQ(*value, series.value_at(at));
   }
 
-  /// Exact mean of the recorded values with window start in [from, to).
-  [[nodiscard]] double exact_mean(SimTime from, SimTime to) const {
-    double sum = 0.0;
-    std::size_t n = 0;
-    for (std::size_t i = 0; i < values_.size(); ++i) {
-      const SimTime t = static_cast<SimTime>(i) * 120;
-      if (t >= from && t < to) {
-        sum += values_[i];
-        ++n;
-      }
-    }
-    return n == 0 ? 0.0 : sum / static_cast<double>(n);
-  }
-
-  static constexpr SimTime kHorizon = 3 * 86400;
-  MetricStore store_;
-  std::vector<double> values_;
-};
-
-TEST_F(TieredQueryTest, EvictedRangeRoutesToTiers) {
-  const QueryEngine engine(&store_);
-  ASSERT_GT(store_.evicted_before(), 86400);
-  ASSERT_FALSE(engine.raw_covers(0, 7200));
-
-  // Fully inside the promoted day tier: one point per day bucket, exact
-  // moments, far fewer sources scanned than raw samples covered.
-  const QueryResult day = engine.run({kCpu, 0, 86400, 0, Aggregation::kMean});
-  EXPECT_EQ(day.tier, SourceTier::kDayDigest);
-  EXPECT_TRUE(day.exact);
-  ASSERT_EQ(day.points.size(), 1u);
-  EXPECT_EQ(day.points[0].start, 0);
-  // Promotion merges per-window digest sums hierarchically, so the mean can
-  // differ from a flat sequential scan by rounding only.
-  EXPECT_NEAR(day.points[0].value, exact_mean(0, 86400), 1e-6);
-  EXPECT_EQ(day.scanned, 1u);
-
-  // An evicted-but-not-promoted stretch routes to the window tier.
-  const SimTime wfrom = 2 * 86400;
-  const SimTime wto = wfrom + 4 * 3600;
-  ASSERT_LE(wto, store_.evicted_before());
-  const QueryResult win =
-      engine.run({kCpu, wfrom, wto, 0, Aggregation::kMean});
-  EXPECT_EQ(win.tier, SourceTier::kWindowDigest);
-  ASSERT_EQ(win.points.size(), 4u);
-  for (const QueryPoint& p : win.points) {
-    EXPECT_DOUBLE_EQ(p.value, exact_mean(p.start, p.start + 3600));
-  }
-}
-
-TEST_F(TieredQueryTest, StraddlingQueryStitchesTiersAndRaw) {
-  const QueryEngine engine(&store_);
-  const SimTime cutoff = store_.evicted_before();
-
-  // Whole-history query at day resolution: day tier + window tier + raw.
-  const QueryResult all =
-      engine.run({kCpu, 0, kHorizon, 86400, Aggregation::kMean});
-  EXPECT_EQ(all.tier, SourceTier::kMixed);
-  EXPECT_TRUE(all.exact);
-  ASSERT_EQ(all.points.size(), 3u);
-  for (const QueryPoint& p : all.points) {
-    // The eviction boundary falls inside the last day: its point merges
-    // digest moments with raw samples; moments stay exact (up to summation
-    // order) across the stitch.
-    EXPECT_NEAR(p.value, exact_mean(p.start, p.start + 86400), 1e-6);
-  }
-  // Count aggregation conserves samples across the stitch.
-  const QueryResult cnt =
-      engine.run({kCpu, 0, kHorizon, 86400, Aggregation::kCount});
-  double total = 0.0;
-  for (const QueryPoint& p : cnt.points) total += p.value;
-  EXPECT_EQ(static_cast<std::size_t>(total), values_.size());
-
-  // Native resolution across the boundary: tier buckets then raw samples,
-  // time-ordered with no duplicate starts.
-  const QueryResult native = engine.run(
-      {kCpu, cutoff - 3600, cutoff + 3600, 0, Aggregation::kMean});
-  EXPECT_EQ(native.tier, SourceTier::kMixed);
-  for (std::size_t i = 1; i < native.points.size(); ++i) {
-    EXPECT_LT(native.points[i - 1].start, native.points[i].start);
-  }
-}
-
-TEST_F(TieredQueryTest, DigestP95MarksResultApproximateWithinBound) {
-  const QueryEngine engine(&store_);
-  const QueryResult r = engine.run({kCpu, 0, 86400, 0, Aggregation::kP95});
-  ASSERT_EQ(r.points.size(), 1u);
-  EXPECT_FALSE(r.exact);
-  std::vector<double> day(values_.begin(), values_.begin() + 86400 / 120);
-  const double exact = stats::percentile(day, 95.0);
-  EXPECT_NEAR(r.points[0].value, exact, exact * 0.03);
-
-  // Raw-only p95 through the same engine stays exact.
-  const QueryResult raw = engine.run(
-      {kCpu, store_.evicted_before(), kHorizon, kHorizon, Aggregation::kP95});
-  EXPECT_TRUE(raw.exact);
-}
-
-TEST_F(TieredQueryTest, EmptyTiersForUnknownKeyYieldNone) {
-  const QueryEngine engine(&store_);
-  const SeriesKey other{5, 5, SeriesKey::kPoolScope,
-                        MetricKind::kErrorsPerSecond};
-  const QueryResult r = engine.run({other, 0, kHorizon, 0, Aggregation::kMean});
-  EXPECT_TRUE(r.points.empty());
-  EXPECT_EQ(r.tier, SourceTier::kNone);
-  EXPECT_EQ(r.scanned, 0u);
-  EXPECT_FALSE(engine.window_value(other, 0).has_value());
-}
-
-TEST_F(TieredQueryTest, WindowValueRoutesPerCoverage) {
-  const QueryEngine engine(&store_);
-  const SimTime cutoff = store_.evicted_before();
-
-  // Raw-covered window: the sample itself.
-  const SimTime raw_t = cutoff + ((cutoff % 120) == 0 ? 0 : 120 - cutoff % 120);
-  const auto raw = engine.window_value(kCpu, raw_t);
-  ASSERT_TRUE(raw.has_value());
-  EXPECT_EQ(*raw, values_[static_cast<std::size_t>(raw_t / 120)]);
-
-  // Evicted window: the containing window-tier bucket's mean.
-  const SimTime tier_t = cutoff - 3600;
-  const auto tiered = engine.window_value(kCpu, tier_t);
-  ASSERT_TRUE(tiered.has_value());
-  const SimTime bucket = tier_t / 3600 * 3600;
-  EXPECT_DOUBLE_EQ(*tiered, exact_mean(bucket, bucket + 3600));
-
-  // Promoted window: the day bucket's mean.
-  const auto day = engine.window_value(kCpu, 3600);
-  ASSERT_TRUE(day.has_value());
-  EXPECT_NEAR(*day, exact_mean(0, 86400), 1e-6);
-}
-
-TEST_F(TieredQueryTest, TierQueriesScanFewerSourcesThanRaw) {
-  const QueryEngine engine(&store_);
-  const QueryResult day = engine.run({kCpu, 0, 86400, 0, Aggregation::kMean});
-  const std::size_t raw_equivalent = 86400 / 120;
-  EXPECT_LT(day.scanned, raw_equivalent / 100);
+  // Retention evicts everything before the last two hours: an evicted
+  // window reads as nothing, a surviving one is still the raw sample.
+  const double last = series.value_at(series.size() - 1);
+  store.set_retention(7200);
+  ASSERT_FALSE(engine.raw_covers(3600, 7200));
+  EXPECT_FALSE(engine.window_value(kCpu, 3600).has_value());
+  EXPECT_TRUE(engine.raw_window(kCpu, 3600, 7200).empty());
+  const auto survivor = engine.window_value(kCpu, 86400 - 120);
+  ASSERT_TRUE(survivor.has_value());
+  EXPECT_EQ(*survivor, last);
 }
 
 }  // namespace

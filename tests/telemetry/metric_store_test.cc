@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <limits>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -139,109 +137,6 @@ TEST(MetricStore, RejectedMergeEntryDoesNotInflateSampleCount) {
   EXPECT_EQ(store.series(key).size(), 2u);
 }
 
-TEST(MetricStore, SummaryMatchesMaintainedDigest) {
-  const SeriesKey key{0, 0, SeriesKey::kPoolScope, MetricKind::kLatencyP95Ms};
-  MetricStore eager;  // digests maintained at append time
-  eager.set_summaries_enabled(true);
-  MetricStore lazy;  // digests built on demand
-  MetricStore backfilled;  // enabled after the fact
-
-  std::uint64_t salt = 42;
-  for (SimTime t = 0; t < 500 * 120; t += 120) {
-    salt = salt * 6364136223846793005ull + 1442695040888963407ull;
-    const double v = 20.0 + static_cast<double>(salt >> 40) / 1000.0;
-    eager.record(key, t, v);
-    lazy.record(key, t, v);
-    backfilled.record(key, t, v);
-  }
-  backfilled.set_summaries_enabled(true);
-
-  const StreamingDigest a = eager.summary(key);
-  const StreamingDigest b = lazy.summary(key);
-  const StreamingDigest c = backfilled.summary(key);
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(a, c);
-  EXPECT_EQ(a.count(), 500u);
-  // The sketch answer lands within its accuracy bound of the exact
-  // percentile over the materialized column.
-  const auto values = lazy.series(key).values();
-  std::vector<double> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
-  const double exact = sorted[static_cast<std::size_t>(0.95 * 499.0)];
-  EXPECT_NEAR(a.percentile(95.0), exact, 0.02 * exact);
-}
-
-TEST(MetricStore, SummaryOfMissingKeyIsEmpty) {
-  const MetricStore store;
-  EXPECT_TRUE(store.summary({9, 9, 9, MetricKind::kErrorsPerSecond}).empty());
-}
-
-TEST(MetricStore, NonFiniteSampleWithSummariesRejectedBeforeMutation) {
-  const SeriesKey key{0, 0, SeriesKey::kPoolScope, MetricKind::kLatencyP95Ms};
-  MetricStore store;
-  store.set_summaries_enabled(true);
-  store.record(key, 0, 1.0);
-  const double inf = std::numeric_limits<double>::infinity();
-  EXPECT_THROW(store.record(key, 120, inf), std::invalid_argument);
-  MetricBuffer buffer;
-  buffer.record(key, 120, 2.0);
-  buffer.record(key, 240, inf);
-  EXPECT_THROW(store.merge(buffer), std::invalid_argument);
-  // Series, counter, and digest all agree: the rejected samples are in
-  // none of them.
-  EXPECT_EQ(store.series(key).size(), 2u);
-  EXPECT_EQ(store.sample_count(), 2u);
-  EXPECT_EQ(store.maintained_summary(key).count(), 2u);
-  EXPECT_DOUBLE_EQ(store.maintained_summary(key).max(), 2.0);
-}
-
-TEST(MetricStore, FailedBackfillLeavesSummariesConsistentlyDisabled) {
-  const SeriesKey key{0, 0, SeriesKey::kPoolScope, MetricKind::kErrorsPerSecond};
-  MetricStore store;
-  store.record(key, 0, 1.0);
-  // Legal while summaries are off: the series layer accepts any double.
-  store.record(key, 120, std::numeric_limits<double>::infinity());
-  EXPECT_THROW(store.set_summaries_enabled(true), std::invalid_argument);
-  EXPECT_FALSE(store.summaries_enabled());
-  EXPECT_TRUE(store.maintained_summary(key).empty());
-  // The store still records normally in the disabled state.
-  store.record(key, 240, 2.0);
-  EXPECT_EQ(store.series(key).size(), 3u);
-}
-
-TEST(MetricStore, MaintainedSummaryIsZeroCopyViewOfTheDigest) {
-  const SeriesKey key{0, 0, SeriesKey::kPoolScope, MetricKind::kCpuPercentTotal};
-  MetricStore store;
-  store.record(key, 0, 5.0);
-  // Disabled (and missing keys): the static empty digest.
-  EXPECT_TRUE(store.maintained_summary(key).empty());
-  store.set_summaries_enabled(true);
-  const StreamingDigest& maintained = store.maintained_summary(key);
-  EXPECT_EQ(maintained.count(), 1u);
-  EXPECT_EQ(maintained, store.summary(key));
-  // The view tracks subsequent appends in place.
-  store.record(key, 120, 7.0);
-  EXPECT_EQ(maintained.count(), 2u);
-  EXPECT_DOUBLE_EQ(maintained.max(), 7.0);
-  EXPECT_TRUE(store.maintained_summary({1, 1, 1, MetricKind::kErrorsPerSecond})
-                  .empty());
-}
-
-TEST(MetricStore, MergeFeedsMaintainedDigests) {
-  const SeriesKey key{0, 0, SeriesKey::kPoolScope, MetricKind::kRequestsPerSecond};
-  MetricStore store;
-  store.set_summaries_enabled(true);
-  MetricBuffer buffer;
-  for (SimTime t = 0; t < 10 * 120; t += 120) {
-    buffer.record(key, t, static_cast<double>(t) + 1.0);
-  }
-  store.merge(buffer);
-  const StreamingDigest d = store.summary(key);
-  EXPECT_EQ(d.count(), 10u);
-  EXPECT_DOUBLE_EQ(d.min(), 1.0);
-  EXPECT_DOUBLE_EQ(d.max(), 1081.0);
-}
-
 TEST(MetricStore, ReserveAdditionalPreservesContentAndStabilizesSpans) {
   const SeriesKey key{0, 0, SeriesKey::kPoolScope, MetricKind::kCpuPercentTotal};
   MetricStore store;
@@ -364,21 +259,6 @@ TEST(MetricStoreRetention, EnablingOnAGrownStoreSweepsImmediately) {
   store.set_retention(240);  // takes effect without waiting for an append
   EXPECT_EQ(store.series(key).time_at(0), 840);
   EXPECT_GT(store.evicted_samples(), 0u);
-}
-
-TEST(MetricStoreRetention, ArchiveDigestPreservesLifetimeStatistics) {
-  MetricStore store;
-  const SeriesKey key{0, 0, SeriesKey::kPoolScope, MetricKind::kLatencyP95Ms};
-  store.set_retention(240);
-  for (SimTime t = 0; t < 8 * 120; t += 120) {
-    store.record(key, t, static_cast<double>(t + 1));
-  }
-  StreamingDigest lifetime = store.archived_summary(key);
-  lifetime.merge(store.summary(key));
-  EXPECT_EQ(lifetime.count(), 8u);
-  double expected_sum = 0.0;
-  for (SimTime t = 0; t < 8 * 120; t += 120) expected_sum += t + 1;
-  EXPECT_DOUBLE_EQ(lifetime.sum(), expected_sum);
 }
 
 TEST(MetricStoreRetention, ZeroRestoresKeepEverything) {
