@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <map>
 #include <string_view>
+
+#include "telemetry/csv.h"
 
 namespace headroom::scenario {
 
@@ -53,12 +54,6 @@ metric_registry() {
     case PipelineStep::kValidate: return "validate";
   }
   return "?";
-}
-
-[[nodiscard]] std::string format_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%g", v);
-  return buf;
 }
 
 }  // namespace
@@ -312,7 +307,8 @@ std::string validate(const ScenarioSpec& spec) {
         if (*e.datacenter == *p.datacenter && *e.pool == *p.pool &&
             e.start_hour == p.start_hour) {
           return where + ": duplicate serving_reduction at hour " +
-                 format_double(e.start_hour) + " for the same pool";
+                 telemetry::format_double(e.start_hour) +
+                 " for the same pool";
         }
       }
     }

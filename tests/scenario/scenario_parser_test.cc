@@ -395,6 +395,14 @@ const MalformedCase kMalformed[] = {
      "start_hour = 5\nserving = 3\n",
      "test.scn: event 2: duplicate serving_reduction at hour 5 for the same "
      "pool"},
+    {"duplicate serving reduction at a non-round hour",
+     "[scenario]\nname = x\n"
+     "[event]\nkind = serving_reduction\ndatacenter = 0\npool = 0\n"
+     "start_hour = 12.345678\nserving = 4\n"
+     "[event]\nkind = serving_reduction\ndatacenter = 0\npool = 0\n"
+     "start_hour = 12.345678\nserving = 3\n",
+     "test.scn: event 2: duplicate serving_reduction at hour 12.345678 for "
+     "the same pool"},
     {"assert without expect", "[scenario]\nname = x\n[assert]\n",
      "test.scn:3: [assert] missing required key 'expect'"},
     {"assert with wrong key", "[scenario]\nname = x\n[assert]\nwant = y\n",
