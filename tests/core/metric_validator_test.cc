@@ -17,7 +17,10 @@ void fill_pool(MetricStore* store, MetricKind resource, double slope,
                double intercept, double noise_sigma, std::uint64_t seed,
                std::size_t windows = 300) {
   std::mt19937_64 rng(seed);
-  std::normal_distribution<double> noise(0.0, noise_sigma);
+  // Unit normal scaled by sigma: normal_distribution requires sigma > 0,
+  // and sigma = 0 (noise-free data) is a valid input here.
+  std::normal_distribution<double> unit(0.0, 1.0);
+  const auto noise = [&](std::mt19937_64& g) { return unit(g) * noise_sigma; };
   const SeriesKey wkey{0, 0, SeriesKey::kPoolScope,
                        MetricKind::kRequestsPerSecond};
   const SeriesKey rkey{0, 0, SeriesKey::kPoolScope, resource};

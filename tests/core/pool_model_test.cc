@@ -17,7 +17,10 @@ PoolBData pool_b_data(double noise_sigma = 0.0, std::uint64_t seed = 1,
                       double lo = 150.0, double hi = 650.0) {
   PoolBData d;
   std::mt19937_64 rng(seed);
-  std::normal_distribution<double> noise(0.0, noise_sigma);
+  // Unit normal scaled by sigma: normal_distribution requires sigma > 0,
+  // and sigma = 0 (noise-free data) is a valid input here.
+  std::normal_distribution<double> unit(0.0, 1.0);
+  const auto noise = [&](std::mt19937_64& g) { return unit(g) * noise_sigma; };
   for (int i = 0; i < 400; ++i) {
     const double rps =
         lo + (hi - lo) * static_cast<double>(i % 100) / 99.0;
