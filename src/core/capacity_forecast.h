@@ -12,10 +12,10 @@
 // servers x target P95 RPS/server, the same operating point
 // sim::size_pool provisions to.
 //
-// History is read exclusively through query::QueryEngine::window_value, so
-// forecasts keep working after raw eviction (downsampled tiers answer the
-// old windows) and are bit-identical to raw reads wherever raw coverage
-// exists — `history_exact` records which path a given forecast took.
+// History is read exclusively through query::QueryEngine::window_value,
+// bit-identical to the raw series. Windows already evicted by retention
+// read as dark and are skipped; `history_exact` is false when part of the
+// requested range was evicted.
 #pragma once
 
 #include <cstdint>

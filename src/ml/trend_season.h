@@ -11,8 +11,8 @@
 // prediction only as far as its recent errors warrant.
 //
 // Fully deterministic and online: observations fold in one at a time in
-// timestamp order, so replaying the same history (from raw telemetry or a
-// downsampled tier carrying the same window values) reproduces the same
+// timestamp order, so replaying the same history (live telemetry or a
+// recorded trace carrying the same window values) reproduces the same
 // decomposition bit for bit.
 #pragma once
 

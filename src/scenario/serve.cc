@@ -73,8 +73,9 @@ struct PoolStream {
 /// discounted by the planner, and a dark pool still reports — holding its
 /// last plan, or the whole pool once FAILSAFE. Reads go through the query
 /// layer: raw windows come back bit-identical (report lines are
-/// golden-pinned), and a window already evicted to the digest tiers still
-/// reports its tier-bucket mean instead of going dark.
+/// golden-pinned). The window at `t` is always resident: scenario serve
+/// reports the newest window, and follow mode's eviction floor holds the
+/// report cursor.
 void emit_window_reports(const telemetry::MetricStore& store,
                          std::vector<PoolStream>& streams, SimTime t,
                          const char* phase, const EmitFn& emit,
