@@ -165,7 +165,7 @@ int main() {
   bench::header(
       "Continuous mode — resident telemetry under rolling retention",
       "an endless feed must cost O(retention) memory, not O(elapsed); "
-      "evicted samples fold into archive digests");
+      "evicted samples are dropped");
 
   // The serve shape: one pool's five pool-scope series fed for 30 days,
   // with and without the default 2-day retention.
@@ -191,7 +191,7 @@ int main() {
   const std::size_t rolling_bytes = rolling_store.sample_count() * 8;
   std::printf(
       "  %zu-day feed, %zu series: unbounded %zu samples (%.1f KiB), "
-      "retained %zu samples (%.1f KiB), %zu evicted into archives\n",
+      "retained %zu samples (%.1f KiB), %zu evicted\n",
       feed_days, kinds.size(), unbounded.sample_count(),
       static_cast<double>(unbounded_bytes) / 1024.0,
       rolling_store.sample_count(),
