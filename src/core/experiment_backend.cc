@@ -32,8 +32,9 @@ ExperimentObservations observations_between(const query::QueryEngine& engine,
                                             std::uint32_t datacenter,
                                             std::uint32_t pool, SimTime from,
                                             SimTime to) {
-  // Evicted windows are gone: start at the raw-coverage boundary so the
-  // slices hold exactly the surviving windows. Zero-copy raw slices,
+  // Start at the raw-coverage boundary: a series created after the last
+  // retention sweep can still hold windows older than the cutoff, and every
+  // series must read as evicted there alike. Zero-copy raw slices,
   // bit-identical to reading the series directly (golden outputs depend on
   // these bytes).
   from = std::max(from, engine.store().evicted_before());

@@ -24,7 +24,9 @@ SeriesView QueryEngine::raw_window(const telemetry::SeriesKey& key,
 
 std::optional<double> QueryEngine::window_value(
     const telemetry::SeriesKey& key, SimTime t) const {
-  if (!raw_covers(t, t + 1)) return std::nullopt;  // evicted
+  // Checked against the store-wide cutoff, not the series: a series created
+  // after the last sweep can still hold a window older than the cutoff.
+  if (!raw_covers(t, t + 1)) return std::nullopt;
   const SeriesView view = store_->series(key).slice(t, t + 1);
   if (view.empty()) return std::nullopt;
   return view.value_at(0);

@@ -29,8 +29,7 @@ class QueryEngine {
   [[nodiscard]] bool raw_covers(telemetry::SimTime from,
                                 telemetry::SimTime to) const noexcept;
 
-  /// Zero-copy raw window [from, to) of a series: the resident samples in
-  /// the range (an evicted prefix simply contributes none).
+  /// Zero-copy slice of a series' resident samples in [from, to).
   [[nodiscard]] telemetry::SeriesView raw_window(
       const telemetry::SeriesKey& key, telemetry::SimTime from,
       telemetry::SimTime to) const;
