@@ -13,7 +13,7 @@
 // instead of per sample — preserving the fixed-shard-order determinism the
 // parallel fleet stepper relies on. An opt-in rolling retention bounds
 // live feeds to a trailing window of raw samples; older samples are
-// dropped, not summarized.
+// dropped.
 #pragma once
 
 #include <unordered_map>
@@ -120,7 +120,8 @@ class MetricStore {
     return evicted_samples_;
   }
   /// Eviction cutoff: every sample with window start >= this is still
-  /// resident (0 until the first sweep). The query layer's raw-coverage boundary.
+  /// resident (0 until the first sweep). The query layer's raw-coverage
+  /// boundary.
   [[nodiscard]] SimTime evicted_before() const noexcept {
     return evicted_before_;
   }
