@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <vector>
@@ -67,32 +67,48 @@ std::vector<std::string> split_csv_fields(const std::string& line, char sep) {
 }
 
 std::string format_double(double value) {
-  // The shortest representation that strtod parses back bit-exactly. Every
-  // %g precision from 1 to 17 is a candidate (17 significant digits always
-  // round-trip); scanning them all matters because %g's scientific form
-  // can make a *lower* precision longer — 10.0 is "1e+01" at precision 1
-  // but "10" at precision 2.
+  // The shortest representation that strtod parses back bit-exactly, in
+  // printf's %g style. std::to_chars' shortest scientific form gives P, the
+  // fewest significant digits any decimal needs to round-trip, so no %g
+  // precision below P can round-trip and the search starts there (the
+  // correctly rounded P-digit string may still miss, so it continues up to
+  // 17, which always round-trips). Later precisions stay candidates because
+  // %g's scientific form can make a *lower* precision longer — 10.0 is
+  // "1e+01" at precision 1 but "10" at precision 2. to_chars' general
+  // format with a precision renders exactly as printf's %.*g, and prints
+  // nan, -nan, inf and -inf as printf does; from_chars rounds as strtod
+  // does.
+  char buf[64];
+  const auto shortest = std::to_chars(buf, buf + sizeof buf, value,
+                                      std::chars_format::scientific);
+  if (!std::isfinite(value)) return std::string(buf, shortest.ptr);
+  const int first_precision = static_cast<int>(std::count_if(
+      buf, std::find(buf, shortest.ptr, 'e'),
+      [](char c) { return c >= '0' && c <= '9'; }));
+
   char best[64];
   std::size_t best_len = 0;
-  char buf[64];
-  for (int precision = 1; precision <= 17; ++precision) {
+  for (int precision = first_precision; precision <= 17; ++precision) {
     // A %.*g string at precision p that is shorter than p characters had
     // its trailing zeros trimmed, making it identical to some lower
     // precision's output — already tried. So once the best round-tripping
     // candidate is no longer than the precision, no later precision can
-    // beat it, and typical values (0, 1, 0.5, ...) exit after 1-2 passes.
+    // beat it.
     if (best_len > 0 && best_len <= static_cast<std::size_t>(precision)) {
       break;
     }
-    const int len = std::snprintf(buf, sizeof buf, "%.*g", precision, value);
-    if (len <= 0) continue;
-    if (std::strtod(buf, nullptr) != value) continue;
-    if (best_len == 0 || static_cast<std::size_t>(len) < best_len) {
-      best_len = static_cast<std::size_t>(len);
-      std::snprintf(best, sizeof best, "%s", buf);
+    const auto end = std::to_chars(buf, buf + sizeof buf, value,
+                                   std::chars_format::general, precision);
+    double back = 0.0;
+    const auto parsed = std::from_chars(buf, end.ptr, back);
+    if (parsed.ec != std::errc() || back != value) continue;
+    const auto len = static_cast<std::size_t>(end.ptr - buf);
+    if (best_len == 0 || len < best_len) {
+      best_len = len;
+      std::copy(buf, end.ptr, best);
     }
   }
-  return best_len > 0 ? best : buf;
+  return std::string(best, best_len);
 }
 
 void write_series_csv(std::ostream& out, const TimeSeries& series,

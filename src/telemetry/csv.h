@@ -23,8 +23,12 @@
 
 namespace headroom::telemetry {
 
-/// Shortest decimal string that round-trips to exactly `value` through
-/// strtod (the formatting the scenario serializer pins its goldens with).
+/// Shortest printf-%g string that round-trips to exactly `value` through
+/// strtod (the formatting the scenario serializer pins its goldens with):
+/// of the %.*g renderings that parse back bit-exactly, the shortest, ties
+/// going to the lowest precision. The search starts at the shortest
+/// round-trip digit count std::to_chars reports, since no lower precision
+/// can round-trip. Non-finite values print as nan, -nan, inf and -inf.
 [[nodiscard]] std::string format_double(double value);
 
 /// Strict inverse of format_double: the whole string must parse as one
