@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
+#include <random>
 #include <sstream>
+#include <string>
 #include <vector>
 
 namespace headroom::telemetry {
@@ -134,6 +139,91 @@ TEST(CsvFormatDouble, PrefersTheShortestForm) {
   EXPECT_EQ(format_double(20000.0), "2e+04");
   EXPECT_EQ(format_double(0.5), "0.5");
   EXPECT_EQ(format_double(1e300), "1e+300");
+}
+
+/// The oracle: every %g precision from 1 to 17, rendered by snprintf and
+/// checked by strtod, keeping the shortest that round-trips. format_double
+/// must print exactly what this prints.
+std::string reference_format_double(double value) {
+  char best[64];
+  std::size_t best_len = 0;
+  char buf[64];
+  for (int precision = 1; precision <= 17; ++precision) {
+    if (best_len > 0 && best_len <= static_cast<std::size_t>(precision)) {
+      break;
+    }
+    const int len = std::snprintf(buf, sizeof buf, "%.*g", precision, value);
+    if (len <= 0) continue;
+    if (std::strtod(buf, nullptr) != value) continue;
+    if (best_len == 0 || static_cast<std::size_t>(len) < best_len) {
+      best_len = static_cast<std::size_t>(len);
+      std::snprintf(best, sizeof best, "%s", buf);
+    }
+  }
+  return best_len > 0 ? best : buf;
+}
+
+void expect_matches_reference(double value) {
+  EXPECT_EQ(format_double(value), reference_format_double(value))
+      << std::hexfloat << value;
+}
+
+TEST(CsvFormatDouble, MatchesTheSnprintfReferenceOnEdgeClasses) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double denorm_min = std::numeric_limits<double>::denorm_min();
+  const double dbl_min = std::numeric_limits<double>::min();
+  const double dbl_max = std::numeric_limits<double>::max();
+  std::vector<double> values = {0.0,      -0.0,     inf,      -inf,
+                                nan,      -nan,     dbl_min,  -dbl_min,
+                                dbl_max,  -dbl_max, denorm_min,
+                                -denorm_min};
+  values.insert(values.end(), kAwkwardDoubles.begin(), kAwkwardDoubles.end());
+  // Subnormals: small multiples of the smallest, and the top of the range.
+  for (int k = 1; k <= 1000; ++k) {
+    values.push_back(k * denorm_min);
+    values.push_back(-k * 997 * denorm_min);
+  }
+  double below_min = dbl_min;
+  for (int k = 0; k < 100; ++k) {
+    below_min = std::nextafter(below_min, 0.0);
+    values.push_back(below_min);
+  }
+  // Powers of ten across the whole range, and their neighbours.
+  for (int e = -320; e <= 308; ++e) {
+    const double p = std::strtod(("1e" + std::to_string(e)).c_str(), nullptr);
+    values.push_back(p);
+    values.push_back(std::nextafter(p, 0.0));
+    values.push_back(std::nextafter(p, inf));
+  }
+  // Exact binary ties, where %g's rounding of a ...5 digit decides.
+  for (int k = 0; k < 2000; ++k) {
+    values.push_back(k + 0.5);
+    values.push_back(-(k + 0.5));
+    values.push_back((2 * k + 1) / 1024.0);
+  }
+  for (const double v : values) expect_matches_reference(v);
+}
+
+TEST(CsvFormatDouble, MatchesTheSnprintfReferenceOnSeededValues) {
+  std::mt19937_64 rng(20180618);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  constexpr int kPerClass = 100000 / 3;
+  for (int i = 0; i < kPerClass; ++i) {
+    // Uniform in log-magnitude over [1e-12, 1e12), both signs.
+    const double magnitude = std::pow(10.0, unit(rng) * 24.0 - 12.0);
+    expect_matches_reference((rng() & 1) != 0 ? magnitude : -magnitude);
+    // Integers of every width up to 64 bits.
+    const auto integer = static_cast<std::int64_t>(rng() >> (rng() % 64));
+    expect_matches_reference(static_cast<double>(integer));
+    // Random finite bit patterns.
+    double bits_value = 0.0;
+    do {
+      const std::uint64_t bits = rng();
+      std::memcpy(&bits_value, &bits, sizeof bits_value);
+    } while (!std::isfinite(bits_value));
+    expect_matches_reference(bits_value);
+  }
 }
 
 TEST(Csv, SeriesExportRoundTripsBitExactly) {
