@@ -141,6 +141,25 @@ TEST(CsvFormatDouble, PrefersTheShortestForm) {
   EXPECT_EQ(format_double(1e300), "1e+300");
 }
 
+TEST(CsvFormatDouble, PrintsThePrintfGForms) {
+  // %g switches to scientific below 1e-4 and at 10^precision and up.
+  EXPECT_EQ(format_double(0.0001), "0.0001");
+  EXPECT_EQ(format_double(1e-05), "1e-05");
+  EXPECT_EQ(format_double(1e-07), "1e-07");
+  EXPECT_EQ(format_double(1234567.0), "1234567");
+  EXPECT_EQ(format_double(1e16), "1e+16");
+  EXPECT_EQ(format_double(12345678901234568.0), "12345678901234568");
+  EXPECT_EQ(format_double(1e21), "1e+21");
+  EXPECT_EQ(format_double(0.1 + 0.2), "0.30000000000000004");
+  EXPECT_EQ(format_double(4.9406564584124654e-324), "5e-324");
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(format_double(nan), "nan");
+  EXPECT_EQ(format_double(-nan), "-nan");
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(format_double(inf), "inf");
+  EXPECT_EQ(format_double(-inf), "-inf");
+}
+
 /// The oracle: every %g precision from 1 to 17, rendered by snprintf and
 /// checked by strtod, keeping the shortest that round-trips. format_double
 /// must print exactly what this prints.
