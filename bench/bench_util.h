@@ -1,8 +1,9 @@
 // Shared output helpers for the table/figure reproduction harnesses.
 //
 // Each bench prints (a) the paper's published numbers and (b) the values
-// measured from the simulation, side by side, so EXPERIMENTS.md can be
-// regenerated by reading the bench output.
+// measured from the simulation, side by side, for a reader to compare.
+// Nothing checks these rows yet; ROADMAP item 5 is where they would become
+// checked claims with tolerances.
 #pragma once
 
 #include <cstdio>
