@@ -3,14 +3,15 @@
 // Two measurements, mirroring the capacity-planning pitch (decompose
 // history once, extrapolate cheaply):
 //   1. Decomposition ingest throughput — TrendSeasonDecomposition::observe
-//      over a quarter of diurnal windows, samples/sec.
+//      over a quarter of diurnal windows, samples/sec (median of 5 passes).
 //   2. Forecast latency vs history length — CapacityForecaster::
 //      forecast_pool on 7 / 30 / 90 days of raw history, per-pool wall
 //      time for a 32-pool fleet.
 //
 // Writes BENCH_forecast.json and exits non-zero when either margin is lost
-// (the Release CI smoke): ingest below 1e6 samples/s, or a quarter-history
-// forecast slower than 0.25 s per pool.
+// (the Release CI smoke): median ingest below 1e6 samples/s, or a
+// quarter-history forecast slower than 0.25 s per pool.
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -111,21 +112,31 @@ int main() {
       .num("history_days", static_cast<std::size_t>(kHistory / kDay));
 
   // --- 1. Decomposition ingest throughput --------------------------------
+  // One pass takes a few milliseconds, so one scheduler stall could sink a
+  // single timing. Gate on the median rate of kPasses fresh decompositions.
   bool decomposition_margin = false;
   {
-    headroom::ml::TrendSeasonDecomposition decomposition{
-        headroom::ml::TrendSeasonOptions{}};
+    constexpr std::size_t kPasses = 5;
     const std::size_t samples = static_cast<std::size_t>(kHistory / kWindow);
-    const Clock::time_point t0 = Clock::now();
-    for (SimTime t = 0; t < kHistory; t += kWindow) {
-      decomposition.observe(t, total_demand(0, t));
+    std::vector<double> rates;
+    for (std::size_t pass = 0; pass < kPasses; ++pass) {
+      headroom::ml::TrendSeasonDecomposition decomposition{
+          headroom::ml::TrendSeasonOptions{}};
+      const Clock::time_point t0 = Clock::now();
+      for (SimTime t = 0; t < kHistory; t += kWindow) {
+        decomposition.observe(t, total_demand(0, t));
+      }
+      rates.push_back(static_cast<double>(samples) / seconds_since(t0));
     }
-    const double elapsed = seconds_since(t0);
-    const double per_sec = static_cast<double>(samples) / elapsed;
-    std::printf("  decomposition observe: %zu samples in %.3f s (%.2e/s)\n",
-                samples, elapsed, per_sec);
-    json.num("decomposition_samples_per_sec", per_sec);
-    decomposition_margin = per_sec >= 1e6;
+    std::sort(rates.begin(), rates.end());
+    const double median = rates[kPasses / 2];
+    std::printf(
+        "  decomposition observe: %zu samples x %zu passes, median %.2e/s, "
+        "min %.2e/s\n",
+        samples, kPasses, median, rates.front());
+    json.num("decomposition_samples_per_sec", median);
+    json.num("decomposition_min_samples_per_sec", rates.front());
+    decomposition_margin = median >= 1e6;
     json.boolean("decomposition_margin", decomposition_margin);
   }
 

@@ -21,21 +21,16 @@ using telemetry::MetricKind;
 /// per-window planner grid, through the same sealed-feed path the RSM
 /// session reads (one window per observe()).
 [[nodiscard]] std::vector<core::PlannerWindow> read_grid(
-    const sim::FleetSimulator& fleet, const ScenarioSpec& spec,
-    telemetry::SimTime horizon) {
-  core::LiveFeedBackend::Options opt;
-  opt.datacenter = 0;
-  opt.pool = 0;
-  opt.pool_size = fleet.pool_size(0, 0);
-  opt.serving = fleet.serving_count(0, 0);
-  opt.start = 0;
-  opt.window_seconds = spec.window_seconds;
+    const sim::FleetSimulator& fleet, const ScenarioSpec& spec) {
+  core::LiveFeedBackend::Options opt =
+      target_feed_options(fleet, 0, spec.window_seconds);
   opt.sealed = true;
   opt.label = "bakeoff feed";
   core::LiveFeedBackend feed(&fleet.store(), opt);
 
   const auto windows = static_cast<std::size_t>(
-      (horizon + spec.window_seconds - 1) / spec.window_seconds);
+      (spec.days * kDaySeconds + spec.window_seconds - 1) /
+      spec.window_seconds);
   std::vector<core::PlannerWindow> grid;
   grid.reserve(windows);
   for (std::size_t i = 0; i < windows; ++i) {
@@ -79,19 +74,12 @@ BakeoffResult run_bakeoff(const ScenarioSpec& spec) {
   sim::FleetSimulator fleet(std::move(config), catalog);
   result.thread_count = fleet.thread_count();
 
-  const telemetry::SimTime horizon = spec.days * kDaySeconds;
-  apply_serving_reductions(fleet, spec, horizon, /*step_to_events=*/true);
-  fleet.run_until(horizon);
-  fleet.finish_day();
-
-  const std::string& pool_service =
-      fleet.config().datacenters[0].pools[0].service;
-  result.latency_slo_ms = catalog.by_name(pool_service).latency_slo_ms;
+  observe_to_horizon(fleet, spec);
+  result.latency_slo_ms = target_latency_slo_ms(fleet, catalog);
   result.pool_size = fleet.pool_size(0, 0);
 
   // --- The shared inputs: window grid + fitted response surface -----------
-  const std::vector<core::PlannerWindow> grid =
-      read_grid(fleet, spec, horizon);
+  const std::vector<core::PlannerWindow> grid = read_grid(fleet, spec);
   if (grid.empty()) {
     throw std::runtime_error("bakeoff: empty observation grid");
   }

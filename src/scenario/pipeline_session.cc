@@ -9,6 +9,7 @@
 #include "core/pool_model.h"
 #include "core/server_grouper.h"
 #include "stats/percentile.h"
+#include "telemetry/csv.h"
 #include "workload/synthetic.h"
 
 namespace headroom::scenario {
@@ -29,16 +30,14 @@ std::vector<ScenarioEvent> sorted_reductions(const ScenarioSpec& spec) {
   return reductions;
 }
 
-void apply_serving_reductions(sim::FleetSimulator& fleet,
-                              const ScenarioSpec& spec,
-                              telemetry::SimTime horizon,
-                              bool step_to_events) {
-  for (const ScenarioEvent& e : sorted_reductions(spec)) {
-    const telemetry::SimTime at = hours_to_sim(e.start_hour);
-    if (at >= horizon) {
-      throw std::invalid_argument(
-          "scenario: serving_reduction at hour " +
-          std::to_string(e.start_hour) + " is past the observation window");
+std::vector<ScenarioEvent> checked_reductions(const sim::FleetSimulator& fleet,
+                                              const ScenarioSpec& spec) {
+  std::vector<ScenarioEvent> reductions = sorted_reductions(spec);
+  for (const ScenarioEvent& e : reductions) {
+    if (hours_to_sim(e.start_hour) >= spec.days * kDaySeconds) {
+      throw std::invalid_argument("scenario: serving_reduction at hour " +
+                                  telemetry::format_double(e.start_hour) +
+                                  " is past the observation window");
     }
     const std::size_t pool_size = fleet.pool_size(*e.datacenter, *e.pool);
     if (e.serving > pool_size) {
@@ -46,9 +45,39 @@ void apply_serving_reductions(sim::FleetSimulator& fleet,
           "scenario: serving_reduction to " + std::to_string(e.serving) +
           " exceeds pool size " + std::to_string(pool_size));
     }
-    if (step_to_events) fleet.run_until(at);
+  }
+  return reductions;
+}
+
+void observe_to_horizon(sim::FleetSimulator& fleet, const ScenarioSpec& spec) {
+  for (const ScenarioEvent& e : checked_reductions(fleet, spec)) {
+    fleet.run_until(hours_to_sim(e.start_hour));
     fleet.set_serving_count(*e.datacenter, *e.pool, e.serving);
   }
+  fleet.run_until(spec.days * kDaySeconds);
+  fleet.finish_day();
+}
+
+double dr_headroom_fraction(std::size_t datacenter_count) {
+  return datacenter_count > 1 ? 1.0 / static_cast<double>(datacenter_count)
+                              : 0.125;
+}
+
+double target_latency_slo_ms(const sim::FleetSimulator& fleet,
+                             const sim::MicroserviceCatalog& catalog) {
+  return catalog.by_name(fleet.config().datacenters[0].pools[0].service)
+      .latency_slo_ms;
+}
+
+core::LiveFeedBackend::Options target_feed_options(
+    const sim::FleetSimulator& fleet, telemetry::SimTime start,
+    telemetry::SimTime window) {
+  core::LiveFeedBackend::Options opt;
+  opt.pool_size = fleet.pool_size(0, 0);
+  opt.serving = fleet.serving_count(0, 0);
+  opt.start = start;
+  opt.window_seconds = window;
+  return opt;
 }
 
 void compute_environment_metrics(const sim::FleetSimulator& fleet,
@@ -204,6 +233,43 @@ telemetry::MetricStore truncate_store(const telemetry::MetricStore& full,
   return out;
 }
 
+ReplaySetup::ReplaySetup(const ScenarioSpec& spec, ScenarioRunResult& result)
+    : spec_(spec),
+      fleet_(ScenarioRunner::build_fleet(spec, catalog_), catalog_),
+      experiment_start_((spec.days * kDaySeconds + spec.window_seconds - 1) /
+                        spec.window_seconds * spec.window_seconds) {
+  result.spec = spec;
+  result.thread_count = fleet_.thread_count();
+  for (const ScenarioEvent& e : checked_reductions(fleet_, spec)) {
+    fleet_.set_serving_count(*e.datacenter, *e.pool, e.serving);
+  }
+  compute_environment_metrics(fleet_, spec, result.metrics);
+  result.latency_slo_ms = target_latency_slo_ms(fleet_, catalog_);
+}
+
+core::LiveFeedBackend::Options ReplaySetup::feed_options() const {
+  return target_feed_options(fleet_, experiment_start_, spec_.window_seconds);
+}
+
+PipelineContext ReplaySetup::observe(
+    const telemetry::MetricStore& recording,
+    std::span<const sim::ServerDayCpu> server_days,
+    core::PoolExperimentBackend* backend, ScenarioRunResult& result) {
+  observation_ = truncate_store(recording, spec_.days * kDaySeconds);
+  compute_pool_assertion_metrics(observation_, spec_, result.metrics);
+  server_days_.clear();
+  for (const sim::ServerDayCpu& day : server_days) {
+    if (day.day < spec_.days) server_days_.push_back(day);
+  }
+  PipelineContext ctx;
+  ctx.store = &observation_;
+  ctx.server_days = server_days_;
+  ctx.backend = backend;
+  ctx.latency_slo_ms = result.latency_slo_ms;
+  ctx.datacenter_count = fleet_.config().datacenters.size();
+  return ctx;
+}
+
 PipelineSession::PipelineSession(const ScenarioSpec& spec, PipelineContext ctx)
     : spec_(spec), ctx_(ctx) {
   if (ctx_.store == nullptr) {
@@ -258,10 +324,7 @@ void PipelineSession::run_measure_and_plan(ScenarioRunResult& result) {
     const double p95_rps = stats::percentile(rps, 95.0);
     core::HeadroomPolicy policy;
     policy.qos.latency.p95_ms = ctx_.latency_slo_ms;
-    policy.dr_headroom_fraction =
-        ctx_.datacenter_count > 1
-            ? 1.0 / static_cast<double>(ctx_.datacenter_count)
-            : 0.125;
+    policy.dr_headroom_fraction = dr_headroom_fraction(ctx_.datacenter_count);
     const std::size_t current = ctx_.backend->serving_count();
     result.plan =
         core::HeadroomOptimizer(policy).plan(model, p95_rps, current);

@@ -12,9 +12,12 @@
 // same order, which is what keeps the streaming pipeline's final summary
 // byte-identical to the batch goldens.
 //
-// The free functions are the runner internals serve also needs (reduction
-// timelines, the environment-metric oracle, store truncation, assertion
-// evaluation) — pure functions shared rather than duplicated.
+// The free functions are the runner internals every subcommand shares (the
+// reduction check, the batch observation phase, the environment-metric
+// oracle, store truncation, assertion evaluation), and ReplaySetup is the
+// setup `run --trace` and `serve --follow` share before their pipeline
+// reads a recording through a LiveFeedBackend (sealed for replay, live
+// for follow) — pure stages shared rather than duplicated.
 #pragma once
 
 #include <map>
@@ -23,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "core/live_feed_backend.h"
 #include "core/rsm_planner.h"
 #include "scenario/scenario_runner.h"
 #include "scenario/scenario_spec.h"
@@ -102,13 +106,33 @@ class PipelineSession {
 [[nodiscard]] std::vector<ScenarioEvent> sorted_reductions(
     const ScenarioSpec& spec);
 
-/// Validates and applies the spec's serving reductions. In simulator mode
-/// the fleet is stepped to each reduction boundary first (the observation
-/// phase pauses there); replay applies only the control-variable changes —
-/// the telemetry those reductions produced is already in the trace.
-void apply_serving_reductions(sim::FleetSimulator& fleet,
-                              const ScenarioSpec& spec,
-                              telemetry::SimTime horizon, bool step_to_events);
+/// The spec's serving reductions, sorted, after checking each against the
+/// observation window and its pool's size. Every subcommand calls this
+/// before it steps or applies any of them, so all of them reject a bad
+/// reduction with the same std::invalid_argument message and no wasted
+/// simulation.
+[[nodiscard]] std::vector<ScenarioEvent> checked_reductions(
+    const sim::FleetSimulator& fleet, const ScenarioSpec& spec);
+
+/// The batch observation phase: steps a fresh fleet to each reduction's
+/// start (where the reduction is applied), then to the horizon, and closes
+/// the last day's per-server digests.
+void observe_to_horizon(sim::FleetSimulator& fleet, const ScenarioSpec& spec);
+
+/// The disaster-recovery reserve a pool's headroom plan holds back: one
+/// datacenter's share (1/N) of an N-DC fleet, or 0.125 for a single DC.
+[[nodiscard]] double dr_headroom_fraction(std::size_t datacenter_count);
+
+/// Latency SLO of the target pool (0, 0)'s service.
+[[nodiscard]] double target_latency_slo_ms(
+    const sim::FleetSimulator& fleet, const sim::MicroserviceCatalog& catalog);
+
+/// Feed options for the target pool (0, 0) of `fleet`: its size and
+/// current serving count, the cursor at `start`, on a `window` grid.
+/// Callers set `sealed`, `validate_serving` and `label`.
+[[nodiscard]] core::LiveFeedBackend::Options target_feed_options(
+    const sim::FleetSimulator& fleet, telemetry::SimTime start,
+    telemetry::SimTime window);
 
 /// Fleet-shape and event-timeline metrics. Everything here is a pure
 /// function of the config and the demand oracle (datacenter_demand does
@@ -137,5 +161,53 @@ void compute_pool_assertion_metrics(const telemetry::MetricStore& store,
 /// batched-merge write path the simulator records through.
 [[nodiscard]] telemetry::MetricStore truncate_store(
     const telemetry::MetricStore& full, telemetry::SimTime end);
+
+/// The setup trace replay and follow mode share. The fleet is a config
+/// oracle, built exactly as the recording run built it but never stepped:
+/// it answers pure-config questions (pool sizes, SLOs, demand curves, event
+/// windows) while every observation comes from the recording. Reductions
+/// move only its control variable — their telemetry is already recorded —
+/// which leaves the recording's serving count at the horizon, the RSM
+/// planner's starting point.
+class ReplaySetup {
+ public:
+  /// Builds the oracle and fills `result`'s spec, thread count,
+  /// environment metrics and SLO. Throws what ScenarioRunner::run throws
+  /// for an invalid spec.
+  ReplaySetup(const ScenarioSpec& spec, ScenarioRunResult& result);
+
+  [[nodiscard]] const sim::FleetSimulator& fleet() const noexcept {
+    return fleet_;
+  }
+  [[nodiscard]] const sim::MicroserviceCatalog& catalog() const noexcept {
+    return catalog_;
+  }
+  /// Where the recording's RSM phase began: the first window boundary at
+  /// or after the horizon (run_until overshoots a horizon that is not a
+  /// window multiple by one partial step).
+  [[nodiscard]] telemetry::SimTime experiment_start() const noexcept {
+    return experiment_start_;
+  }
+  /// target_feed_options at the experiment start.
+  [[nodiscard]] core::LiveFeedBackend::Options feed_options() const;
+
+  /// Freezes what the recording run's measure step saw: `recording`
+  /// truncated at the horizon, and the server-day rows of the days before
+  /// it (the recording kept appending rows during its RSM phase). Resolves
+  /// the pool assertion metrics over it into `result`, and returns the
+  /// pipeline context over it — valid while this setup lives.
+  [[nodiscard]] PipelineContext observe(
+      const telemetry::MetricStore& recording,
+      std::span<const sim::ServerDayCpu> server_days,
+      core::PoolExperimentBackend* backend, ScenarioRunResult& result);
+
+ private:
+  ScenarioSpec spec_;
+  sim::MicroserviceCatalog catalog_;
+  sim::FleetSimulator fleet_;
+  telemetry::SimTime experiment_start_ = 0;
+  telemetry::MetricStore observation_;
+  std::vector<sim::ServerDayCpu> server_days_;
+};
 
 }  // namespace headroom::scenario

@@ -181,10 +181,7 @@ PlanResult run_plan(const ScenarioSpec& spec, const PlanOptions& options) {
   sim::FleetConfig config = ScenarioRunner::build_fleet(spec, catalog);
   sim::FleetSimulator fleet(std::move(config), catalog);
   result.thread_count = fleet.thread_count();
-  apply_serving_reductions(fleet, spec, result.history_end,
-                           /*step_to_events=*/true);
-  fleet.run_until(result.history_end);
-  fleet.finish_day();
+  observe_to_horizon(fleet, spec);
 
   forecast_cases(fleet.config(), catalog, fleet.store(), result);
   return result;

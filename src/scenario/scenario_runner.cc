@@ -6,15 +6,12 @@
 #include <stdexcept>
 
 #include "core/sim_backend.h"
-#include "core/trace_backend.h"
 #include "scenario/pipeline_session.h"
 #include "workload/events.h"
 
 namespace headroom::scenario {
 
 namespace {
-
-constexpr telemetry::SimTime kDay = kDaySeconds;
 
 void require_service(const sim::MicroserviceCatalog& catalog,
                      const std::string& service) {
@@ -183,26 +180,16 @@ ScenarioRunResult ScenarioRunner::run_on_fleet(
   result.spec = spec;
   result.thread_count = fleet.thread_count();
 
-  const telemetry::SimTime horizon = spec.days * kDay;
-
-  // --- Observation phase, pausing at serving-reduction boundaries ---------
-  apply_serving_reductions(fleet, spec, horizon, /*step_to_events=*/true);
-  fleet.run_until(horizon);
-  fleet.finish_day();
-
+  observe_to_horizon(fleet, spec);
   compute_environment_metrics(fleet, spec, result.metrics);
-
-  const std::string& pool_service =
-      fleet.config().datacenters[0].pools[0].service;
-  const sim::MicroserviceProfile& profile = catalog.by_name(pool_service);
-  result.latency_slo_ms = profile.latency_slo_ms;
+  result.latency_slo_ms = target_latency_slo_ms(fleet, catalog);
 
   core::SimPoolBackend backend(&fleet, 0, 0);
   PipelineContext ctx;
   ctx.store = &fleet.store();
   ctx.server_days = fleet.server_day_cpu();
   ctx.backend = &backend;
-  ctx.latency_slo_ms = profile.latency_slo_ms;
+  ctx.latency_slo_ms = result.latency_slo_ms;
   ctx.datacenter_count = fleet.config().datacenters.size();
   run_pipeline_steps(spec, ctx, result);
 
@@ -216,66 +203,15 @@ ScenarioRunResult ScenarioRunner::replay(const ScenarioSpec& spec,
   if (inputs.trace == nullptr) {
     throw std::invalid_argument("ScenarioRunner::replay: null trace store");
   }
-
   ScenarioRunResult result;
-  result.spec = spec;
-
-  // Config oracle: built exactly as the recording run built it, but never
-  // stepped — it answers pure-config questions (pool sizes, demand curves,
-  // event windows) while every observation comes from the trace.
-  const sim::MicroserviceCatalog catalog;
-  sim::FleetConfig config = build_fleet(spec, catalog);
-  sim::FleetSimulator fleet(std::move(config), catalog);
-  result.thread_count = fleet.thread_count();
-
-  const telemetry::SimTime horizon = spec.days * kDay;
-
-  // Reductions move the control variable only; their telemetry is already
-  // in the trace. Applying them yields the recording's serving count at
-  // the horizon — the RSM planner's starting point.
-  apply_serving_reductions(fleet, spec, horizon, /*step_to_events=*/false);
-
-  compute_environment_metrics(fleet, spec, result.metrics);
-
-  const std::string& pool_service =
-      fleet.config().datacenters[0].pools[0].service;
-  const sim::MicroserviceProfile& profile = catalog.by_name(pool_service);
-  result.latency_slo_ms = profile.latency_slo_ms;
-
-  const telemetry::MetricStore observation =
-      truncate_store(*inputs.trace, horizon);
-
-  core::TraceExperimentBackend::Options trace_opt;
-  trace_opt.datacenter = 0;
-  trace_opt.pool = 0;
-  trace_opt.pool_size = fleet.pool_size(0, 0);
-  trace_opt.serving = fleet.serving_count(0, 0);
-  // The recording's RSM phase began where run_until left the fleet: the
-  // first window boundary at or after the horizon (a horizon that is not
-  // a window multiple is overshot by one partial step).
-  trace_opt.start = (horizon + spec.window_seconds - 1) / spec.window_seconds *
-                    spec.window_seconds;
-  trace_opt.window_seconds = spec.window_seconds;
-  core::TraceExperimentBackend backend(inputs.trace, trace_opt);
-
-  // Per-server-day rows as of measure time: the recording kept appending
-  // rows during the RSM phase (days at or past the horizon), which the
-  // measure step had not seen.
-  std::vector<sim::ServerDayCpu> observation_days;
-  observation_days.reserve(inputs.server_days.size());
-  for (const sim::ServerDayCpu& day : inputs.server_days) {
-    if (day.day < spec.days) observation_days.push_back(day);
-  }
-
-  PipelineContext ctx;
-  ctx.store = &observation;
-  ctx.server_days = observation_days;
-  ctx.backend = &backend;
-  ctx.latency_slo_ms = profile.latency_slo_ms;
-  ctx.datacenter_count = fleet.config().datacenters.size();
-  run_pipeline_steps(spec, ctx, result);
-
-  compute_pool_assertion_metrics(observation, spec, result.metrics);
+  ReplaySetup setup(spec, result);
+  core::LiveFeedBackend::Options feed_opt = setup.feed_options();
+  feed_opt.sealed = true;  // a complete recording: reading past it throws
+  feed_opt.label = "TraceExperimentBackend";
+  core::LiveFeedBackend backend(inputs.trace, feed_opt);
+  run_pipeline_steps(
+      spec, setup.observe(*inputs.trace, inputs.server_days, &backend, result),
+      result);
   evaluate_assertions(spec, result);
   return result;
 }

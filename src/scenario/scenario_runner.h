@@ -14,7 +14,7 @@
 //              hands the RSM planner a live SimPoolBackend.
 //   replay() — trace mode: no stepping at all. Observation-phase telemetry
 //              comes from a recorded MetricStore, the RSM planner reads a
-//              TraceExperimentBackend over the same recording, and the
+//              sealed LiveFeedBackend over the same recording, and the
 //              environment metrics are recomputed from the spec's demand
 //              oracle (a pure function of the config, so they match the
 //              recording run bit-for-bit). A lossless trace round-trip

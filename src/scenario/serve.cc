@@ -56,8 +56,7 @@ struct PoolStream {
       core::HeadroomPolicy policy;
       policy.qos.latency.p95_ms =
           catalog.by_name(dc.pools[p].service).latency_slo_ms;
-      policy.dr_headroom_fraction =
-          dc_count > 1 ? 1.0 / static_cast<double>(dc_count) : 0.125;
+      policy.dr_headroom_fraction = dr_headroom_fraction(dc_count);
       streams.push_back({d, p, core::RollingPoolPlanner(policy, ropt),
                          dc.pools[p].servers, 0, std::nullopt});
     }
@@ -386,6 +385,52 @@ class CsvTailReader {
   return rps.time_at(rps.size() - 1) + window;
 }
 
+/// The health monitor's window grid and budgets, shared by serve and follow.
+[[nodiscard]] core::DegradationOptions degradation_options(
+    SimTime window, const ServeOptions& options) {
+  core::DegradationOptions dopt;
+  dopt.window_seconds = window;
+  dopt.heal_budget_seconds = options.heal_budget_seconds;
+  dopt.staleness_budget_seconds = options.staleness_budget_seconds;
+  return dopt;
+}
+
+/// Starts the session's RSM experiment at `start`. With
+/// reuse_observation_baseline, its baseline is the last day of `store`
+/// before `start` instead of a day of feed still to come.
+void start_rsm(PipelineSession& session, const ScenarioSpec& spec,
+               const telemetry::MetricStore& store, SimTime start,
+               const ServeOptions& options) {
+  if (options.reuse_observation_baseline &&
+      spec.runs(PipelineStep::kOptimize)) {
+    const core::ExperimentObservations seed =
+        core::observations_between(store, 0, 0, start - kDaySeconds, start);
+    session.start_rsm(&seed);
+  } else {
+    session.start_rsm();
+  }
+}
+
+/// Fills the result's closing fields from the store serve read its
+/// telemetry into (and the health monitor, when one ran), and emits the
+/// done line at `t`.
+void finish(ServeResult& out, const telemetry::MetricStore& store,
+            const core::HealthMonitor* health, SimTime t, const EmitFn& emit) {
+  out.summary = format_summary(out.result);
+  out.resident_samples = store.sample_count();
+  out.evicted_samples = store.evicted_samples();
+  if (health != nullptr) {
+    out.health_active = true;
+    out.degraded = health->any_degraded();
+    out.health_report = health->format_report();
+  }
+  if (emit) {
+    emit("serve phase=done t=" + std::to_string(t) +
+         " windows=" + std::to_string(out.windows) + " rsm_recommended=" +
+         std::to_string(out.result.rsm.recommended_serving));
+  }
+}
+
 }  // namespace
 
 ServeRunner::ServeRunner(ServeOptions options) : options_(options) {}
@@ -402,25 +447,7 @@ ServeResult ServeRunner::serve(const ScenarioSpec& spec,
 
   const SimTime window = spec.window_seconds;
   const SimTime horizon = spec.days * kDaySeconds;
-
-  // Validate every reduction before stepping (the batch path interleaves
-  // validation with stepping; failing early keeps the same error surface
-  // without wasted simulation).
-  const std::vector<ScenarioEvent> reductions = sorted_reductions(spec);
-  for (const ScenarioEvent& e : reductions) {
-    const SimTime at = hours_to_sim(e.start_hour);
-    if (at >= horizon) {
-      throw std::invalid_argument(
-          "scenario: serving_reduction at hour " +
-          std::to_string(e.start_hour) + " is past the observation window");
-    }
-    const std::size_t pool_size = fleet.pool_size(*e.datacenter, *e.pool);
-    if (e.serving > pool_size) {
-      throw std::invalid_argument(
-          "scenario: serving_reduction to " + std::to_string(e.serving) +
-          " exceeds pool size " + std::to_string(pool_size));
-    }
-  }
+  const std::vector<ScenarioEvent> reductions = checked_reductions(fleet, spec);
 
   std::vector<PoolStream> streams =
       build_streams(fleet.config(), catalog, options_);
@@ -437,11 +464,7 @@ ServeResult ServeRunner::serve(const ScenarioSpec& spec,
   std::optional<core::HealthMonitor> health_monitor;
   if (health_active) {
     injector.emplace(spec);
-    core::DegradationOptions dopt;
-    dopt.window_seconds = window;
-    dopt.heal_budget_seconds = options_.heal_budget_seconds;
-    dopt.staleness_budget_seconds = options_.staleness_budget_seconds;
-    health_monitor.emplace(&delivered, dopt);
+    health_monitor.emplace(&delivered, degradation_options(window, options_));
     const sim::FleetConfig& fleet_config = fleet.config();
     for (std::uint32_t d = 0; d < fleet_config.datacenters.size(); ++d) {
       for (std::uint32_t p = 0;
@@ -455,6 +478,20 @@ ServeResult ServeRunner::serve(const ScenarioSpec& spec,
   const telemetry::MetricStore& read_store =
       health_active ? delivered : fleet.store();
 
+  // One feed window: step the fleet, route the window through the health
+  // layer when it is active, and report every pool.
+  const auto step_window = [&](const char* phase) {
+    const SimTime t = fleet.now();
+    fleet.run_until(t + window);
+    if (health != nullptr) {
+      deliver_window(fleet.store(), t, *injector, *health, delivered);
+      health->advance(t + window);
+    }
+    ++out.windows;
+    emit_window_reports(read_store, streams, t, phase, emit, &out.reports,
+                        health);
+  };
+
   if (emit) {
     emit("serve phase=observe t=0 horizon=" + std::to_string(horizon));
   }
@@ -464,20 +501,13 @@ ServeResult ServeRunner::serve(const ScenarioSpec& spec,
   // hour — exactly where the batch path's run_until(at) pauses the fleet.
   std::size_t next_reduction = 0;
   while (fleet.now() < horizon) {
-    const SimTime t = fleet.now();
     while (next_reduction < reductions.size() &&
-           hours_to_sim(reductions[next_reduction].start_hour) <= t) {
+           hours_to_sim(reductions[next_reduction].start_hour) <=
+               fleet.now()) {
       const ScenarioEvent& e = reductions[next_reduction++];
       fleet.set_serving_count(*e.datacenter, *e.pool, e.serving);
     }
-    fleet.run_until(t + window);
-    if (health != nullptr) {
-      deliver_window(fleet.store(), t, *injector, *health, delivered);
-      health->advance(t + window);
-    }
-    ++out.windows;
-    emit_window_reports(read_store, streams, t, "observe", emit,
-                        &out.reports, health);
+    step_window("observe");
   }
   fleet.finish_day();
 
@@ -485,19 +515,11 @@ ServeResult ServeRunner::serve(const ScenarioSpec& spec,
   // Pool-level assertion targets read the observation phase exactly — and
   // must be resolved now, before retention starts rolling it away.
   compute_pool_assertion_metrics(read_store, spec, out.result.metrics);
-  const std::string& pool_service =
-      fleet.config().datacenters[0].pools[0].service;
-  out.result.latency_slo_ms = catalog.by_name(pool_service).latency_slo_ms;
+  out.result.latency_slo_ms = target_latency_slo_ms(fleet, catalog);
 
   // --- Pipeline over the live feed -----------------------------------------
-  core::LiveFeedBackend::Options feed_opt;
-  feed_opt.datacenter = 0;
-  feed_opt.pool = 0;
-  feed_opt.pool_size = fleet.pool_size(0, 0);
-  feed_opt.serving = fleet.serving_count(0, 0);
-  feed_opt.start = fleet.now();
-  feed_opt.window_seconds = window;
-  feed_opt.sealed = false;
+  core::LiveFeedBackend::Options feed_opt =
+      target_feed_options(fleet, fleet.now(), window);
   // The hook forwards serving changes into the simulator, which produces
   // the active-servers column — validating against it would be circular.
   feed_opt.validate_serving = false;
@@ -519,15 +541,7 @@ ServeResult ServeRunner::serve(const ScenarioSpec& spec,
 
   PipelineSession session(spec, ctx);
   session.run_measure_and_plan(out.result);
-
-  if (options_.reuse_observation_baseline &&
-      spec.runs(PipelineStep::kOptimize)) {
-    const core::ExperimentObservations seed = core::observations_between(
-        read_store, 0, 0, fleet.now() - kDaySeconds, fleet.now());
-    session.start_rsm(&seed);
-  } else {
-    session.start_rsm();
-  }
+  start_rsm(session, spec, read_store, fleet.now(), options_);
 
   // Measure and plan have consumed the full observation history; from here
   // the experiment only reads forward, so the store can roll.
@@ -551,47 +565,16 @@ ServeResult ServeRunner::serve(const ScenarioSpec& spec,
       session.abort_rsm_failsafe();
       continue;
     }
-    const SimTime t = fleet.now();
-    fleet.run_until(t + window);
-    if (health != nullptr) {
-      deliver_window(fleet.store(), t, *injector, *health, delivered);
-      health->advance(t + window);
-    }
-    ++out.windows;
-    emit_window_reports(read_store, streams, t, "experiment", emit,
-                        &out.reports, health);
+    step_window("experiment");
   }
   session.finalize(out.result);
   evaluate_assertions(spec, out.result);
 
   // --- Steady-state monitoring (optional) ----------------------------------
   const SimTime steady_end = fleet.now() + options_.extra_days * kDaySeconds;
-  while (fleet.now() < steady_end) {
-    const SimTime t = fleet.now();
-    fleet.run_until(t + window);
-    if (health != nullptr) {
-      deliver_window(fleet.store(), t, *injector, *health, delivered);
-      health->advance(t + window);
-    }
-    ++out.windows;
-    emit_window_reports(read_store, streams, t, "steady", emit,
-                        &out.reports, health);
-  }
+  while (fleet.now() < steady_end) step_window("steady");
 
-  out.summary = format_summary(out.result);
-  out.resident_samples = fleet.store().sample_count();
-  out.evicted_samples = fleet.store().evicted_samples();
-  if (health != nullptr) {
-    out.health_active = true;
-    out.degraded = health->any_degraded();
-    out.health_report = health->format_report();
-  }
-  if (emit) {
-    emit("serve phase=done t=" + std::to_string(fleet.now()) +
-         " windows=" + std::to_string(out.windows) +
-         " rsm_recommended=" +
-         std::to_string(out.result.rsm.recommended_serving));
-  }
+  finish(out, fleet.store(), health, fleet.now(), emit);
   return out;
 }
 
@@ -603,39 +586,20 @@ ServeResult ServeRunner::follow(const std::string& trace_dir,
   const ScenarioSpec& spec = info.spec;
 
   ServeResult out;
-  out.result.spec = spec;
-
-  // Config oracle, never stepped: pool sizes, SLOs, demand curves, and the
-  // serving count the reductions leave behind (replay semantics).
-  const sim::MicroserviceCatalog catalog;
-  sim::FleetConfig config = ScenarioRunner::build_fleet(spec, catalog);
-  sim::FleetSimulator fleet(std::move(config), catalog);
-  out.result.thread_count = fleet.thread_count();
-
+  ReplaySetup setup(spec, out.result);
   const SimTime window = spec.window_seconds;
   const SimTime horizon = spec.days * kDaySeconds;
-  const SimTime experiment_start =
-      (horizon + window - 1) / window * window;
-
-  apply_serving_reductions(fleet, spec, horizon, /*step_to_events=*/false);
-  compute_environment_metrics(fleet, spec, out.result.metrics);
-  const std::string& pool_service =
-      fleet.config().datacenters[0].pools[0].service;
-  out.result.latency_slo_ms = catalog.by_name(pool_service).latency_slo_ms;
+  const SimTime experiment_start = setup.experiment_start();
 
   std::vector<PoolStream> streams =
-      build_streams(fleet.config(), catalog, options_);
+      build_streams(setup.fleet().config(), setup.catalog(), options_);
 
   // Follow always hardens: the tailer routes every row through a health
   // monitor writing the feed store, so malformed, duplicated, reordered,
   // or non-finite rows are quarantined-and-counted instead of fatal, and
   // a stalled writer degrades the pools instead of hanging the reader.
   telemetry::MetricStore feed;
-  core::DegradationOptions dopt;
-  dopt.window_seconds = window;
-  dopt.heal_budget_seconds = options_.heal_budget_seconds;
-  dopt.staleness_budget_seconds = options_.staleness_budget_seconds;
-  core::HealthMonitor monitor(&feed, dopt);
+  core::HealthMonitor monitor(&feed, degradation_options(window, options_));
   for (const TracePoolFeed& pool : info.pools) {
     monitor.add_pool(pool.datacenter, pool.pool);
   }
@@ -708,46 +672,18 @@ ServeResult ServeRunner::follow(const std::string& trace_dir,
   report_new_windows();
 
   // The measure/plan stages see the recording truncated at the horizon —
-  // exactly what the recording run's pipeline saw (replay semantics).
-  const telemetry::MetricStore observation = truncate_store(feed, horizon);
-  compute_pool_assertion_metrics(observation, spec, out.result.metrics);
-  std::vector<sim::ServerDayCpu> observation_days;
-  observation_days.reserve(info.server_days.size());
-  for (const sim::ServerDayCpu& day : info.server_days) {
-    if (day.day < spec.days) observation_days.push_back(day);
-  }
-
-  core::LiveFeedBackend::Options feed_opt;
-  feed_opt.datacenter = 0;
-  feed_opt.pool = 0;
-  feed_opt.pool_size = fleet.pool_size(0, 0);
-  feed_opt.serving = fleet.serving_count(0, 0);
-  feed_opt.start = experiment_start;
-  feed_opt.window_seconds = window;
-  feed_opt.sealed = false;  // the trace is still growing
-  feed_opt.validate_serving = true;  // recorded active_servers is the truth
+  // exactly what the recording run's pipeline saw (replay semantics). The
+  // feed itself stays live (the trace is still growing), and its recorded
+  // active_servers column is the truth serving changes validate against.
+  core::LiveFeedBackend::Options feed_opt = setup.feed_options();
   feed_opt.label = "headroom follow";
   core::LiveFeedBackend backend(&feed, feed_opt);
   backend.set_health_monitor(&monitor);
 
-  PipelineContext ctx;
-  ctx.store = &observation;
-  ctx.server_days = observation_days;
-  ctx.backend = &backend;
-  ctx.latency_slo_ms = out.result.latency_slo_ms;
-  ctx.datacenter_count = fleet.config().datacenters.size();
-
-  PipelineSession session(spec, ctx);
+  PipelineSession session(
+      spec, setup.observe(feed, info.server_days, &backend, out.result));
   session.run_measure_and_plan(out.result);
-
-  if (options_.reuse_observation_baseline &&
-      spec.runs(PipelineStep::kOptimize)) {
-    const core::ExperimentObservations seed = core::observations_between(
-        feed, 0, 0, experiment_start - kDaySeconds, experiment_start);
-    session.start_rsm(&seed);
-  } else {
-    session.start_rsm();
-  }
+  start_rsm(session, spec, feed, experiment_start, options_);
 
   const SimTime retention = clamp_retention(options_.retention_seconds, window);
   if (retention > 0) {
@@ -761,7 +697,7 @@ ServeResult ServeRunner::follow(const std::string& trace_dir,
 
   if (emit) {
     emit("serve phase=experiment t=" + std::to_string(experiment_start) +
-         " serving=" + std::to_string(fleet.serving_count(0, 0)));
+         " serving=" + std::to_string(setup.fleet().serving_count(0, 0)));
   }
   experiment_running = true;
 
@@ -781,18 +717,7 @@ ServeResult ServeRunner::follow(const std::string& trace_dir,
   session.finalize(out.result);
   evaluate_assertions(spec, out.result);
 
-  out.summary = format_summary(out.result);
-  out.resident_samples = feed.sample_count();
-  out.evicted_samples = feed.evicted_samples();
-  out.health_active = true;
-  out.degraded = monitor.any_degraded();
-  out.health_report = monitor.format_report();
-  if (emit) {
-    emit("serve phase=done t=" + std::to_string(reported_to) +
-         " windows=" + std::to_string(out.windows) +
-         " rsm_recommended=" +
-         std::to_string(out.result.rsm.recommended_serving));
-  }
+  finish(out, feed, &monitor, reported_to, emit);
   return out;
 }
 

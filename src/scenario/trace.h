@@ -48,7 +48,7 @@ struct TraceReplayResult {
 /// Loads a trace directory and replays the scenario's pipeline against the
 /// recording (ScenarioRunner::replay). Malformed manifests/CSVs come back
 /// as `source:line: message` diagnostics in `error`; a replay that diverges
-/// from the recording throws std::runtime_error (TraceExperimentBackend).
+/// from the recording throws std::runtime_error (the sealed LiveFeedBackend).
 [[nodiscard]] TraceReplayResult replay_trace(const std::string& dir);
 
 /// One pool CSV of a trace directory, resolved to an openable path.

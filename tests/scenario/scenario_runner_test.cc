@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "scenario/bakeoff.h"
+#include "scenario/planning.h"
 #include "scenario/scenario_spec.h"
+#include "scenario/serve.h"
 #include "sim/microservice.h"
 #include "sim/topology.h"
 
@@ -130,6 +137,28 @@ TEST(ScenarioRunnerBuild, RejectsInvalidSpec) {
                std::invalid_argument);
 }
 
+/// Every entry point that steps a fleet checks the spec's reductions the same
+/// way: `run`, `serve`, `bakeoff` and `plan` must each reject `spec` with
+/// exactly `message`.
+void expect_every_entry_point_rejects(const ScenarioSpec& spec,
+                                      const std::string& message) {
+  const std::vector<std::pair<std::string, std::function<void()>>>
+      entry_points = {
+          {"run", [&] { (void)ScenarioRunner().run(spec); }},
+          {"serve", [&] { (void)ServeRunner().serve(spec, nullptr); }},
+          {"bakeoff", [&] { (void)run_bakeoff(spec); }},
+          {"plan", [&] { (void)run_plan(spec); }},
+      };
+  for (const auto& [name, run] : entry_points) {
+    try {
+      run();
+      ADD_FAILURE() << name << ": expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), message) << name;
+    }
+  }
+}
+
 TEST(ScenarioRunnerRun, RejectsReductionBeyondPoolSize) {
   ScenarioSpec spec = measure_only("too_big");
   ScenarioEvent e;
@@ -139,7 +168,8 @@ TEST(ScenarioRunnerRun, RejectsReductionBeyondPoolSize) {
   e.start_hour = 1.0;
   e.serving = 9;  // pool has 8
   spec.events.push_back(e);
-  EXPECT_THROW((void)ScenarioRunner().run(spec), std::invalid_argument);
+  expect_every_entry_point_rejects(
+      spec, "scenario: serving_reduction to 9 exceeds pool size 8");
 }
 
 TEST(ScenarioRunnerRun, RejectsReductionPastObservationWindow) {
@@ -148,10 +178,14 @@ TEST(ScenarioRunnerRun, RejectsReductionPastObservationWindow) {
   e.kind = ScenarioEventKind::kServingReduction;
   e.datacenter = 0;
   e.pool = 0;
-  e.start_hour = 30.0;  // past the 24 h observation
+  e.start_hour = 30.5;  // past the 24 h observation
   e.serving = 4;
   spec.events.push_back(e);
-  EXPECT_THROW((void)ScenarioRunner().run(spec), std::invalid_argument);
+  // The hour prints in its shortest round-trip form, not as "30.500000".
+  expect_every_entry_point_rejects(
+      spec,
+      "scenario: serving_reduction at hour 30.5 is past the observation "
+      "window");
 }
 
 TEST(ScenarioRunnerRun, MeasureOnlyRunProducesMetricsAndSummary) {
