@@ -3,10 +3,9 @@
 // day-scale shape the paper's pipeline lives on — minute-windowed counters
 // over many series for a week (§II, §III).
 //
-// Reports append and merge throughput, resident bytes per sample, and
-// exact-vs-streaming-digest quantile latency, and writes the same numbers
-// to BENCH_metric_store.json so the perf trajectory has machine-readable
-// data points.
+// Reports append and merge throughput and resident bytes per sample, and
+// writes the same numbers to BENCH_metric_store.json so the perf trajectory
+// has machine-readable data points.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -14,9 +13,7 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "stats/percentile.h"
 #include "telemetry/metric_store.h"
-#include "telemetry/streaming_digest.h"
 
 namespace {
 
@@ -166,33 +163,6 @@ int main() {
               aos_bps * 1e6 / (1024.0 * 1024.0),
               col_bps * 1e6 / (1024.0 * 1024.0));
 
-  // --- Quantile latency: exact selection vs streaming digest ---------------
-  const SeriesKey probe = keys[0];
-  constexpr int kQuantileReps = 2000;
-  const auto values = col_merge.series(probe).values();
-  double exact_p95 = 0.0;
-  auto t0 = Clock::now();
-  for (int i = 0; i < kQuantileReps; ++i) {
-    exact_p95 = stats::percentile(values, 95.0);
-  }
-  const double exact_ns = seconds_since(t0) / kQuantileReps * 1e9;
-
-  // Digest path: a sketch built once from the value column; a query walks
-  // its buckets — no distribution materialized, no copy.
-  telemetry::StreamingDigest sketch;
-  for (const double v : values) sketch.add(v);
-  double digest_p95 = 0.0;
-  t0 = Clock::now();
-  for (int i = 0; i < kQuantileReps; ++i) {
-    digest_p95 = sketch.percentile(95.0 + 0.001 * (i % 2));
-  }
-  const double digest_ns = seconds_since(t0) / kQuantileReps * 1e9;
-  std::printf("  P95 of a %zu-sample series: exact %.0f ns, digest %.0f ns "
-              "(%.2fx), values %.2f vs %.2f (%.2f%% apart)\n",
-              values.size(), exact_ns, digest_ns, exact_ns / digest_ns,
-              exact_p95, digest_p95,
-              100.0 * std::abs(digest_p95 - exact_p95) / exact_p95);
-
   // --- Machine-readable record ---------------------------------------------
   bench::JsonObject aos_json;
   aos_json.num("append_seconds", aos_append_s)
@@ -207,12 +177,6 @@ int main() {
       .num("merge_msamples_per_s", total / col_merge_s / 1e6)
       .num("bytes_per_sample", col_bps)
       .num("stride_encoded_series", regular_series);
-  bench::JsonObject quantile_json;
-  quantile_json.num("series_samples", values.size())
-      .num("exact_p95_ns", exact_ns)
-      .num("digest_p95_ns", digest_ns)
-      .num("exact_p95", exact_p95)
-      .num("digest_p95", digest_p95);
   bench::JsonObject json;
   json.str("bench", "metric_store")
       .num("series", kSeries)
@@ -220,7 +184,6 @@ int main() {
       .num("samples", static_cast<std::size_t>(total))
       .obj("aos", aos_json)
       .obj("columnar", col_json)
-      .obj("quantile", quantile_json)
       .num("append_speedup", append_speedup)
       .num("merge_speedup", merge_speedup)
       .num("footprint_reduction_pct", 100.0 * (1.0 - col_bps / aos_bps));

@@ -115,7 +115,10 @@ void LiveFeedBackend::exhausted(const Span& span) const {
 std::optional<ExperimentObservations> LiveFeedBackend::try_observe(
     SimTime duration) {
   const Span span = span_for(duration);
-  if (covered_windows(span.to) < span.expected) return std::nullopt;
+  if (covered_windows(span.to) < span.expected) {
+    if (options_.sealed) exhausted(span);  // a recording cannot grow
+    return std::nullopt;
+  }
   const SimTime from = cursor_;
   cursor_ = span.to;
   if (monitor_ != nullptr) {

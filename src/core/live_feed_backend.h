@@ -35,9 +35,10 @@ class LiveFeedBackend : public PoolExperimentBackend {
     telemetry::SimTime start = 0;  ///< Feed cursor start (inclusive).
     telemetry::SimTime window_seconds = 120;
     /// A sealed feed is a complete recording: it must already hold the
-    /// pool's workload series, and observe() past its end throws. A live
-    /// feed treats missing windows as not-yet-arrived: try_observe()
-    /// reports pending and observe() asks the pump to extend the feed.
+    /// pool's workload series, and observe() or try_observe() past its end
+    /// throws. A live feed treats missing windows as not-yet-arrived:
+    /// try_observe() reports pending and observe() asks the pump to extend
+    /// the feed.
     bool sealed = false;
     /// Validate set_serving_count() against the recorded active-servers
     /// column at the cursor (replay-divergence detection). Feeds whose
@@ -85,8 +86,10 @@ class LiveFeedBackend : public PoolExperimentBackend {
   /// when no pump is attached or the pump reports the feed closed.
   ExperimentObservations observe(telemetry::SimTime duration) override;
 
-  /// Non-blocking observe: std::nullopt (cursor untouched, nothing thrown)
-  /// while the span is not yet covered. The incremental planner's path.
+  /// Non-blocking observe: on a live feed, std::nullopt (cursor untouched,
+  /// nothing thrown) while the span is not yet covered. A sealed feed
+  /// cannot grow, so there it throws "trace exhausted" as observe() does,
+  /// cursor untouched. The incremental planner's path.
   std::optional<ExperimentObservations> try_observe(
       telemetry::SimTime duration) override;
 

@@ -1,7 +1,6 @@
 #include "scenario/planning.h"
 
 #include <algorithm>
-#include <fstream>
 #include <stdexcept>
 
 #include "query/query_engine.h"
@@ -191,7 +190,7 @@ PlanResult run_plan_on_trace(const std::string& dir,
                              const PlanOptions& options) {
   check_options(options);
   TraceFeedInfo info;
-  const std::string problem = load_trace_feed(dir, &info);
+  std::string problem = load_trace_feed(dir, &info);
   if (!problem.empty()) {
     throw std::runtime_error(problem);
   }
@@ -204,16 +203,9 @@ PlanResult run_plan_on_trace(const std::string& dir,
   result.history_end = info.spec.days * kDaySeconds;
 
   telemetry::MetricStore store;
-  for (const TracePoolFeed& feed : info.pools) {
-    std::ifstream in(feed.path);
-    if (!in) {
-      throw std::runtime_error(feed.path + ": cannot open pool trace");
-    }
-    const telemetry::CsvReadResult read = telemetry::read_pool_csv(
-        in, feed.path, &store, feed.datacenter, feed.pool);
-    if (!read.ok()) {
-      throw std::runtime_error(read.error);
-    }
+  problem = read_trace_pools(info, &store);
+  if (!problem.empty()) {
+    throw std::runtime_error(problem);
   }
 
   const sim::MicroserviceCatalog catalog;

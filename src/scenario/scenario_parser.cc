@@ -14,9 +14,7 @@
 
 namespace headroom::scenario {
 
-namespace {
-
-[[nodiscard]] std::string_view trim(std::string_view s) noexcept {
+std::string_view trim(std::string_view s) noexcept {
   while (!s.empty() && (s.front() == ' ' || s.front() == '\t' ||
                         s.front() == '\r')) {
     s.remove_prefix(1);
@@ -27,6 +25,8 @@ namespace {
   }
   return s;
 }
+
+namespace {
 
 [[nodiscard]] std::vector<std::string> split_list(std::string_view value,
                                                   char sep) {

@@ -41,4 +41,8 @@ struct ParseResult {
 /// for any spec that passes validate().
 [[nodiscard]] std::string serialize_scenario(const ScenarioSpec& spec);
 
+/// Strips spaces, tabs and carriage returns from both ends: the blank rule
+/// of the scenario grammar and of the trace manifest (scenario/trace.h).
+[[nodiscard]] std::string_view trim(std::string_view s) noexcept;
+
 }  // namespace headroom::scenario

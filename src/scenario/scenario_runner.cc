@@ -198,20 +198,17 @@ ScenarioRunResult ScenarioRunner::run_on_fleet(
   return result;
 }
 
-ScenarioRunResult ScenarioRunner::replay(const ScenarioSpec& spec,
-                                         const ReplayInputs& inputs) const {
-  if (inputs.trace == nullptr) {
-    throw std::invalid_argument("ScenarioRunner::replay: null trace store");
-  }
+ScenarioRunResult ScenarioRunner::replay(
+    const ScenarioSpec& spec, const telemetry::MetricStore& trace,
+    std::span<const sim::ServerDayCpu> server_days) const {
   ScenarioRunResult result;
   ReplaySetup setup(spec, result);
   core::LiveFeedBackend::Options feed_opt = setup.feed_options();
   feed_opt.sealed = true;  // a complete recording: reading past it throws
-  feed_opt.label = "TraceExperimentBackend";
-  core::LiveFeedBackend backend(inputs.trace, feed_opt);
-  run_pipeline_steps(
-      spec, setup.observe(*inputs.trace, inputs.server_days, &backend, result),
-      result);
+  feed_opt.label = "headroom replay";
+  core::LiveFeedBackend backend(&trace, feed_opt);
+  run_pipeline_steps(spec, setup.observe(trace, server_days, &backend, result),
+                     result);
   evaluate_assertions(spec, result);
   return result;
 }

@@ -27,6 +27,7 @@
 #pragma once
 
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -71,14 +72,6 @@ struct ScenarioRunResult {
   std::size_t thread_count = 1;
 };
 
-/// Recorded inputs for replay(): the full telemetry of a prior run of the
-/// same spec (observation phase and RSM experiment windows) plus the
-/// per-server-day CPU snapshots the grouping step consumed.
-struct ReplayInputs {
-  const telemetry::MetricStore* trace = nullptr;
-  std::vector<sim::ServerDayCpu> server_days;
-};
-
 class ScenarioRunner {
  public:
   ScenarioRunner() = default;
@@ -96,11 +89,15 @@ class ScenarioRunner {
       const sim::MicroserviceCatalog& catalog) const;
 
   /// Executes the scenario's pipeline against recorded telemetry instead
-  /// of a simulator (see the header comment). Throws std::invalid_argument
+  /// of a simulator (see the header comment). `trace` is the full
+  /// telemetry of a prior run of the same spec (observation phase and RSM
+  /// experiment windows); `server_days` are its per-server-day CPU
+  /// snapshots, the grouping step's input. Throws std::invalid_argument
   /// for spec problems and std::runtime_error when the replayed planner
   /// diverges from (or exhausts) the recording.
-  [[nodiscard]] ScenarioRunResult replay(const ScenarioSpec& spec,
-                                         const ReplayInputs& inputs) const;
+  [[nodiscard]] ScenarioRunResult replay(
+      const ScenarioSpec& spec, const telemetry::MetricStore& trace,
+      std::span<const sim::ServerDayCpu> server_days) const;
 
   /// Builds the FleetConfig for a spec: topology preset, overrides, and
   /// schedule-level events (traffic, outage, maintenance waves). Serving

@@ -119,7 +119,8 @@ class ServeRunner {
   /// Live trace feed: tails the pool CSVs of a trace directory (the
   /// export-trace layout, see scenario/trace.h) as they grow on disk,
   /// feeding new complete rows into the same streaming pipeline. The
-  /// manifest and scenario file must exist when follow() starts; pool
+  /// directory must pass load_trace_feed (checks 1-5 of trace.h's order:
+  /// manifest, scenario and server-day file) when follow() starts; pool
   /// CSVs may grow (partial trailing lines are left for the next poll).
   /// The tailer is hardened: malformed rows, duplicated or reordered
   /// window_starts, and non-finite values are quarantined (skipped and

@@ -9,6 +9,7 @@
 #include <sstream>
 #include <string_view>
 
+#include "scenario/pipeline_session.h"
 #include "scenario/scenario_parser.h"
 #include "telemetry/csv.h"
 
@@ -19,7 +20,6 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr int kTraceFormatVersion = 1;
-constexpr telemetry::SimTime kDay = 86400;
 constexpr std::string_view kManifestName = "manifest.ini";
 constexpr std::string_view kScenarioName = "scenario.scn";
 constexpr std::string_view kServerDayName = "server_day_cpu.csv";
@@ -52,18 +52,6 @@ constexpr std::string_view kServerDayHeader =
   }
   *out = static_cast<std::uint32_t>(v);
   return true;
-}
-
-[[nodiscard]] std::string_view trim(std::string_view s) noexcept {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t' ||
-                        s.front() == '\r')) {
-    s.remove_prefix(1);
-  }
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t' ||
-                        s.back() == '\r')) {
-    s.remove_suffix(1);
-  }
-  return s;
 }
 
 // --- Export ----------------------------------------------------------------
@@ -289,7 +277,7 @@ TraceExportResult export_trace(const ScenarioSpec& spec,
   manifest +=
       "window_seconds = " + std::to_string(spec.window_seconds) + "\n";
   manifest +=
-      "horizon_seconds = " + std::to_string(spec.days * kDay) + "\n";
+      "horizon_seconds = " + std::to_string(spec.days * kDaySeconds) + "\n";
   manifest += "server_day_cpu = " + std::string(kServerDayName) + "\n";
   manifest += "summary = " + std::string(kSummaryName) + "\n";
 
@@ -341,11 +329,11 @@ std::string load_trace_feed(const std::string& dir, TraceFeedInfo* out) {
            std::to_string(manifest.window_seconds) + " vs " +
            std::to_string(parsed.spec.window_seconds) + ")";
   }
-  if (parsed.spec.days * kDay != manifest.horizon_seconds) {
+  if (parsed.spec.days * kDaySeconds != manifest.horizon_seconds) {
     return manifest_path.string() +
            ": horizon_seconds disagrees with the scenario's days (" +
            std::to_string(manifest.horizon_seconds) + " vs " +
-           std::to_string(parsed.spec.days * kDay) + ")";
+           std::to_string(parsed.spec.days * kDaySeconds) + ")";
   }
 
   bool has_target_pool = false;
@@ -379,79 +367,27 @@ std::string load_trace_feed(const std::string& dir, TraceFeedInfo* out) {
   return "";
 }
 
+std::string read_trace_pools(const TraceFeedInfo& info,
+                             telemetry::MetricStore* store) {
+  for (const TracePoolFeed& feed : info.pools) {
+    std::ifstream in(feed.path, std::ios::binary);
+    if (!in) return feed.path + ": cannot open pool trace";
+    const telemetry::CsvReadResult read = telemetry::read_pool_csv(
+        in, feed.path, store, feed.datacenter, feed.pool);
+    if (!read.ok()) return read.error;
+  }
+  return "";
+}
+
 TraceReplayResult replay_trace(const std::string& dir) {
   TraceReplayResult out;
-  const fs::path root{dir};
-
-  const fs::path manifest_path = root / kManifestName;
-  std::ifstream manifest_in(manifest_path, std::ios::binary);
-  if (!manifest_in) {
-    out.error = manifest_path.string() + ": cannot open trace manifest";
-    return out;
-  }
-  Manifest manifest;
-  out.error = parse_manifest(manifest_in, manifest_path.string(), &manifest);
+  TraceFeedInfo info;
+  out.error = load_trace_feed(dir, &info);
   if (!out.ok()) return out;
-
-  const fs::path scenario_path = root / manifest.scenario_file;
-  ParseResult parsed = load_scenario_file(scenario_path.string());
-  if (!parsed.ok()) {
-    out.error = parsed.error;
-    return out;
-  }
-  const ScenarioSpec& spec = parsed.spec;
-  if (spec.window_seconds != manifest.window_seconds) {
-    out.error = manifest_path.string() +
-                ": window_seconds disagrees with the scenario (" +
-                std::to_string(manifest.window_seconds) + " vs " +
-                std::to_string(spec.window_seconds) + ")";
-    return out;
-  }
-  if (spec.days * kDay != manifest.horizon_seconds) {
-    out.error = manifest_path.string() +
-                ": horizon_seconds disagrees with the scenario's days (" +
-                std::to_string(manifest.horizon_seconds) + " vs " +
-                std::to_string(spec.days * kDay) + ")";
-    return out;
-  }
-
   telemetry::MetricStore trace;
-  bool has_target_pool = false;
-  for (const PoolEntry& entry : manifest.pools) {
-    const fs::path pool_path = root / entry.file;
-    std::ifstream pool_in(pool_path, std::ios::binary);
-    if (!pool_in) {
-      out.error = pool_path.string() + ": cannot open pool trace";
-      return out;
-    }
-    const telemetry::CsvReadResult read = telemetry::read_pool_csv(
-        pool_in, pool_path.string(), &trace, entry.datacenter, entry.pool);
-    if (!read.ok()) {
-      out.error = read.error;
-      return out;
-    }
-    has_target_pool =
-        has_target_pool || (entry.datacenter == 0 && entry.pool == 0);
-  }
-  if (!has_target_pool) {
-    out.error = manifest_path.string() +
-                ": trace has no pool (0, 0) — the pipeline's target pool";
-    return out;
-  }
-
-  ReplayInputs inputs;
-  inputs.trace = &trace;
-  const fs::path days_path = root / manifest.server_day_file;
-  std::ifstream days_in(days_path, std::ios::binary);
-  if (!days_in) {
-    out.error = days_path.string() + ": cannot open server-day trace";
-    return out;
-  }
-  out.error =
-      parse_server_days(days_in, days_path.string(), &inputs.server_days);
+  out.error = read_trace_pools(info, &trace);
   if (!out.ok()) return out;
-
-  out.result = ScenarioRunner().replay(spec, inputs);
+  out.result = ScenarioRunner().replay(info.spec, trace, info.server_days);
   return out;
 }
 

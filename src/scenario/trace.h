@@ -13,12 +13,29 @@
 //                       grouping step's feature rows)
 //   summary.txt         the machine summary of the recording run — the
 //                       byte string a correct replay must reproduce
+//
+// One loader reads a trace directory for `run --trace`, `plan --trace` and
+// `serve --trace --follow`, so a damaged directory gets the same first
+// diagnostic from each. The order of checks (load_trace_feed does 1-5,
+// read_trace_pools does 6):
+//   1. the manifest opens and parses;
+//   2. the scenario file loads;
+//   3. the manifest's window_seconds, then its horizon_seconds, agree with
+//      the scenario;
+//   4. the manifest lists pool (0, 0), the pipeline's target pool;
+//   5. the server-day file opens and parses;
+//   6. each pool CSV opens and parses, in manifest order. Replay and plan
+//      read them whole; follow mode instead tails them as they grow,
+//      waiting for a missing one and quarantining a malformed row.
+// Between 5 and 6, `plan --trace` also refuses a scenario with a quiescent
+// dead band (its report would not be golden-pinnable).
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "scenario/scenario_runner.h"
+#include "telemetry/metric_store.h"
 
 namespace headroom::scenario {
 
@@ -45,10 +62,12 @@ struct TraceReplayResult {
   [[nodiscard]] bool ok() const noexcept { return error.empty(); }
 };
 
-/// Loads a trace directory and replays the scenario's pipeline against the
-/// recording (ScenarioRunner::replay). Malformed manifests/CSVs come back
-/// as `source:line: message` diagnostics in `error`; a replay that diverges
-/// from the recording throws std::runtime_error (the sealed LiveFeedBackend).
+/// Loads a trace directory (load_trace_feed, then read_trace_pools) and
+/// replays the scenario's pipeline against the recording
+/// (ScenarioRunner::replay). Malformed manifests/CSVs come back as
+/// `source:line: message` diagnostics in `error`; a replay that diverges
+/// from or runs past the recording throws std::runtime_error (the sealed
+/// LiveFeedBackend, labelled "headroom replay").
 [[nodiscard]] TraceReplayResult replay_trace(const std::string& dir);
 
 /// One pool CSV of a trace directory, resolved to an openable path.
@@ -68,11 +87,17 @@ struct TraceFeedInfo {
 };
 
 /// Loads manifest, scenario, and server-day rows of a trace directory and
-/// resolves the pool CSV paths without reading them (serve --follow tails
-/// those as they grow on disk). Validates the same manifest/scenario
-/// cross-checks replay_trace does. Returns "" on success, else a
+/// resolves the pool CSV paths without opening them (serve --follow tails
+/// those as they grow on disk): checks 1-5 of the order above. The only
+/// code that opens a trace directory. Returns "" on success, else a
 /// `source:line: message` diagnostic.
 [[nodiscard]] std::string load_trace_feed(const std::string& dir,
                                           TraceFeedInfo* out);
+
+/// Reads every pool CSV of a loaded trace into `store`, in manifest order
+/// (check 6 of the order above). Returns "" on success, else the first
+/// `source:line: message` diagnostic.
+[[nodiscard]] std::string read_trace_pools(const TraceFeedInfo& info,
+                                           telemetry::MetricStore* store);
 
 }  // namespace headroom::scenario

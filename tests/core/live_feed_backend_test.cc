@@ -361,6 +361,27 @@ TEST(LiveFeedBackend, SealedThrowsWhenTheTraceRunsOut) {
   EXPECT_EQ(backend.cursor(), 3 * kWindow);
 }
 
+TEST(LiveFeedBackend, SealedTryObservePastTheEndThrowsInsteadOfPending) {
+  // A sealed recording cannot grow, so "pending" would never resolve: the
+  // non-blocking path must name the end of the trace as observe() does.
+  const MetricStore trace = make_trace(5);
+  LiveFeedBackend backend(&trace, sealed_options());
+  ASSERT_TRUE(backend.try_observe(3 * kWindow).has_value());
+  try {
+    (void)backend.try_observe(3 * kWindow);  // only 2 windows remain
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("trace exhausted at t=" + std::to_string(3 * kWindow)),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("recording ends at t=" + std::to_string(5 * kWindow)),
+              std::string::npos)
+        << what;
+  }
+  EXPECT_EQ(backend.cursor(), 3 * kWindow);
+}
+
 TEST(LiveFeedBackend, SealedSetServingCountAcceptsTheRecordedReduction) {
   MetricStore trace = make_trace(4, 8.0);
   const SeriesKey active{0, 0, SeriesKey::kPoolScope,

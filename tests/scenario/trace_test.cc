@@ -1,7 +1,9 @@
 // Trace directory loading: manifest/CSV diagnostics and replay-input
 // validation. The happy path (export -> replay byte-identity) lives in
 // tests/integration/trace_roundtrip_test.cc; this file exercises the
-// failure surface on hand-crafted directories, no simulation involved.
+// failure surface, mostly on hand-crafted directories with no simulation
+// involved, and checks that `run --trace`, `plan --trace` and
+// `serve --follow` report the same first diagnostic.
 #include "scenario/trace.h"
 
 #include <gtest/gtest.h>
@@ -9,7 +11,11 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <stdexcept>
 #include <string>
+
+#include "scenario/planning.h"
+#include "scenario/serve.h"
 
 namespace headroom::scenario {
 namespace {
@@ -214,6 +220,143 @@ TEST(TraceLoad, ServerDayDiagnostics) {
         << c.tag << ": " << replayed.error;
     fs::remove_all(dir);
   }
+}
+
+/// What() of `fn`, or "" when it returns without throwing.
+template <typename Fn>
+std::string thrown_message(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::exception& e) {
+    return e.what();
+  }
+  return "";
+}
+
+std::string plan_error(const fs::path& dir) {
+  return thrown_message([&] { (void)run_plan_on_trace(dir.string()); });
+}
+
+std::string follow_error(const fs::path& dir) {
+  return thrown_message(
+      [&] { (void)ServeRunner().follow(dir.string(), nullptr); });
+}
+
+TEST(TraceLoad, EverySubcommandReportsTheSameFirstDiagnostic) {
+  // One row per directory-level defect (checks 1-5 of trace.h's order):
+  // run --trace (replay_trace), plan --trace (run_plan_on_trace) and
+  // serve --follow (ServeRunner::follow) must fail with the same message.
+  const std::string bad_window =
+      std::string(kManifest).replace(std::string(kManifest).find("120"), 3,
+                                     "600");
+  const std::string bad_horizon =
+      std::string(kManifest).replace(std::string(kManifest).find("86400"), 5,
+                                     "172800");
+  const std::string no_target =
+      std::string(kManifest).replace(std::string(kManifest).find("pool = 0"),
+                                     8, "pool = 1");
+  // fig6's two-defect shape: a non-target pool CSV and the server-day file
+  // both missing. The server-day check (5) precedes the pool CSVs (6).
+  const std::string two_pools =
+      std::string(kManifest) + "pool = 1 0 pool_1_0.csv\n";
+  const struct {
+    const char* tag;
+    std::map<std::string, std::string> files;
+    const char* expected;  // substring of the shared diagnostic
+  } cases[] = {
+      {"same_nomanifest", {{"manifest.ini", "<absent>"}},
+       "manifest.ini: cannot open trace manifest"},
+      {"same_badline", {{"manifest.ini", "version = 1\nwhat is this\n"}},
+       "manifest.ini:2: expected 'key = value'"},
+      {"same_noscn", {{"scenario.scn", "<absent>"}},
+       "scenario.scn: cannot open scenario file"},
+      {"same_window", {{"manifest.ini", bad_window}},
+       "window_seconds disagrees with the scenario"},
+      {"same_horizon", {{"manifest.ini", bad_horizon}},
+       "horizon_seconds disagrees with the scenario's days"},
+      {"same_notarget", {{"manifest.ini", no_target}}, "no pool (0, 0)"},
+      {"same_nodays", {{"server_day_cpu.csv", "<absent>"}},
+       "server_day_cpu.csv: cannot open server-day trace"},
+      {"same_badday",
+       {{"server_day_cpu.csv",
+         "datacenter,pool,server,day,p5,p25,p50,p75,p95,mean,min,max,count\n"
+         "x,0,0,0,1,2,3,4,5,3,1,5,10\n"}},
+       "server_day_cpu.csv:2: bad row key"},
+      {"same_twodefects",
+       {{"manifest.ini", two_pools}, {"server_day_cpu.csv", "<absent>"}},
+       "server_day_cpu.csv: cannot open server-day trace"},
+  };
+  for (const auto& c : cases) {
+    const fs::path dir = write_trace_dir(c.tag, c.files);
+    const std::string replayed = replay_trace(dir.string()).error;
+    EXPECT_NE(replayed.find(c.expected), std::string::npos)
+        << c.tag << ": " << replayed;
+    EXPECT_EQ(plan_error(dir), replayed) << c.tag;
+    EXPECT_EQ(follow_error(dir), replayed) << c.tag;
+    fs::remove_all(dir);
+  }
+}
+
+TEST(TraceLoad, ReplayAndPlanReportThePoolCsvDefectAlike) {
+  // Check 6 is batch-only: follow tails pool CSVs as they grow, so a
+  // missing or malformed one is not a load error there.
+  const struct {
+    const char* tag;
+    const char* contents;
+    const char* expected;
+  } cases[] = {
+      {"pool_missing", "<absent>", "pool_0_0.csv: cannot open pool trace"},
+      {"pool_badrow",
+       "window_start,rps,cpu_pct_attributed,latency_p95_ms,active_servers\n"
+       "0,100,40,20,4\n"
+       "120,100,40\n",
+       "pool_0_0.csv:3: expected 5 fields, got 3"},
+  };
+  for (const auto& c : cases) {
+    const fs::path dir = write_trace_dir(c.tag, {{"pool_0_0.csv", c.contents}});
+    const std::string replayed = replay_trace(dir.string()).error;
+    EXPECT_NE(replayed.find(c.expected), std::string::npos)
+        << c.tag << ": " << replayed;
+    EXPECT_EQ(plan_error(dir), replayed) << c.tag;
+    fs::remove_all(dir);
+  }
+}
+
+TEST(TraceLoad, TruncatedRecordingSaysWhereItEnds) {
+  // A recording cut short inside its RSM phase: replay must name the time
+  // and the end of the recording, not report a pending feed.
+  ScenarioSpec spec;
+  spec.name = "truncated";
+  spec.days = 1;
+  spec.servers = 8;
+  spec.steps = step_bit(PipelineStep::kMeasure) |
+               step_bit(PipelineStep::kOptimize);
+  const fs::path dir = fs::temp_directory_path() / "headroom_tt_truncated";
+  fs::remove_all(dir);
+  const TraceExportResult exported = export_trace(spec, dir.string(), nullptr);
+  ASSERT_TRUE(exported.ok()) << exported.error;
+
+  // Keep the header, the observation day and 100 RSM windows.
+  const fs::path pool = dir / "pool_0_0.csv";
+  std::string kept;
+  {
+    std::ifstream in(pool, std::ios::binary);
+    std::string line;
+    for (int i = 0; i < 1 + 720 + 100 && std::getline(in, line); ++i) {
+      kept += line + "\n";
+    }
+  }
+  std::ofstream(pool, std::ios::binary) << kept;
+
+  const std::string what =
+      thrown_message([&] { (void)replay_trace(dir.string()); });
+  EXPECT_NE(what.find("headroom replay: trace exhausted at t="),
+            std::string::npos)
+      << what;
+  EXPECT_NE(what.find("recording ends at t=" + std::to_string(820 * 120)),
+            std::string::npos)
+      << what;
+  fs::remove_all(dir);
 }
 
 TEST(TraceRoundTrip, SurvivesAWindowThatDoesNotDivideTheHorizon) {

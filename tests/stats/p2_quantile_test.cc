@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <random>
 #include <stdexcept>
 #include <vector>
@@ -56,6 +57,14 @@ struct P2Case {
   double q;
   int distribution;  // 0 uniform, 1 normal, 2 lognormal
 };
+
+// The row label, e.g. `q0.95_lognormal`: gtest_discover_tests names each
+// CTest case after it. Without it the name is a byte dump of the struct,
+// padding included, which differs between builds.
+void PrintTo(const P2Case& c, std::ostream* os) {
+  static constexpr const char* kNames[] = {"uniform", "normal", "lognormal"};
+  *os << 'q' << c.q << '_' << kNames[c.distribution];
+}
 
 class P2AccuracySweep : public ::testing::TestWithParam<P2Case> {};
 
