@@ -2,14 +2,16 @@
 // mode's per-window recommendations. The invariants under test: the
 // running-sum OLS recovers the generating curves exactly (and matches the
 // batch fitter on the same ring), eviction forgets the pre-lookback
-// regime, periodic rebuilds bound floating-point drift, and plan() only
-// speaks once the ring holds enough windows to trust.
+// regime, periodic rebuilds bound floating-point drift, plan() only
+// speaks once the ring holds enough windows to trust, and a seeded ring
+// pins every coefficient bit for bit.
 #include "core/rolling_plan.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <optional>
+#include <random>
 #include <stdexcept>
 
 #include "core/pool_model.h"
@@ -153,6 +155,42 @@ TEST(RollingPoolPlanner, ConstantLoadFallsBackToFlatFits) {
   EXPECT_DOUBLE_EQ(model.predict_cpu_pct(100.0), 5.0);
   EXPECT_DOUBLE_EQ(model.predict_cpu_pct(500.0), 5.0);
   EXPECT_DOUBLE_EQ(model.predict_latency_ms(500.0), 30.0);
+}
+
+TEST(RollingPoolPlanner, SeededRingPinsEveryCoefficient) {
+  // A noisy ring that evicts 68 windows (two full-ring rebuilds) and
+  // discounts one healed window. The coefficients are pinned bit for bit,
+  // so a failure names the one that moved.
+  const std::size_t lookback = 32;
+  RollingPoolPlanner planner(test_policy(), small_ring(lookback, 8));
+  std::mt19937_64 rng(33);
+  const auto unit = [&rng] {
+    return static_cast<double>(rng() >> 11) * 0x1.0p-53;
+  };
+  for (int i = 0; i < 101; ++i) {
+    const double rps = 60.0 + 240.0 * unit();
+    const double cpu = cpu_curve(rps) + (unit() - 0.5);
+    const double latency = latency_curve(rps) + 2.0 * (unit() - 0.5);
+    planner.add_window(rps, cpu, latency, /*healed=*/i == 50);
+  }
+  EXPECT_EQ(planner.size(), lookback);
+  EXPECT_EQ(planner.rebuilds(), 2u);
+  EXPECT_EQ(planner.untrusted_windows(), 1u);
+
+  const PoolResponseModel model = planner.model();
+  EXPECT_EQ(model.cpu_fit().slope, 0x1.e0916568d66e7p-6);
+  EXPECT_EQ(model.cpu_fit().intercept, 0x1.1375d96f6d908p+1);
+  EXPECT_EQ(model.cpu_fit().r_squared, 0x1.f6b33e354651bp-1);
+  const stats::PolynomialFit& latency = model.latency_fit();
+  ASSERT_EQ(latency.coeffs.size(), 3u);
+  EXPECT_EQ(latency.coeffs[0], 0x1.3b749196b8792p+4);
+  EXPECT_EQ(latency.coeffs[1], 0x1.7c76e8c7e1f37p-7);
+  EXPECT_EQ(latency.coeffs[2], -0x1.0b82f98aaab66p-17);
+  EXPECT_EQ(latency.r_squared, 0x1.31169fd0c45ep-1);
+
+  const std::optional<HeadroomPlan> plan = planner.plan(24);
+  ASSERT_TRUE(plan.has_value());
+  EXPECT_EQ(plan->recommended_servers, 17u);
 }
 
 TEST(RollingPoolPlanner, SlackLatencyMeansAReductionPlan) {

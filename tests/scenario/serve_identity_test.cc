@@ -10,6 +10,9 @@
 // Follow mode gets the same treatment against a recorded trace directory:
 // a complete recording, a recording growing under the reader, and a feed
 // that dies mid-experiment.
+//
+// The per-window report lines, which carry each pool's rolling plan, are
+// pinned by line count and digest in golden/serve/reports.digest.
 #include "scenario/serve.h"
 
 #include <gtest/gtest.h>
@@ -18,6 +21,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -108,6 +114,70 @@ TEST(ServeRetention, ExperimentPhaseEvictsConsumedHistory) {
   EXPECT_GT(served.resident_samples, 0u);
   // The bulk of a 7-day feed is outside the 2-day retention window.
   EXPECT_LT(served.resident_samples, served.evicted_samples);
+}
+
+// --- Per-window report lines ------------------------------------------------
+
+/// The report lines of one serve run, reduced to what the pin records:
+/// the line count and the 64-bit FNV-1a digest of the bytes `serve --out`
+/// writes to windows.log (each line followed by '\n').
+std::string serve_report_digest(const ScenarioSpec& spec, bool harden) {
+  ServeOptions opt;
+  opt.harden = harden;
+  std::size_t lines = 0;
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto fold = [&hash](char c) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  };
+  const EmitFn emit = [&](const std::string& line) {
+    ++lines;
+    for (const char c : line) fold(c);
+    fold('\n');
+  };
+  (void)ServeRunner(opt).serve(spec, emit);
+  char digest[17];
+  std::snprintf(digest, sizeof digest, "%016llx",
+                static_cast<unsigned long long>(hash));
+  return spec.name + (harden ? " harden" : " plain") +
+         " lines=" + std::to_string(lines) + " fnv1a64=" + digest + "\n";
+}
+
+TEST(ServeReports, WindowLinesMatchThePinAtAnyThreadCount) {
+  // Every report line carries the pool's rolling plan (`plan=`), so this
+  // pins the rolling planner's output window by window — the summaries
+  // above only pin where the pipeline ended up.
+  std::string pin;
+  for (const char* stem :
+       {"reduction_mid_run", "fig6_flash_crowd", "hot_cool_fleet"}) {
+    ParseResult parsed = load_scenario_file(
+        (fs::path(HEADROOM_SCENARIO_DIR) / (std::string(stem) + ".scn"))
+            .string());
+    ASSERT_TRUE(parsed.ok()) << parsed.error;
+    for (const bool harden : {false, true}) {
+      const std::string serial = serve_report_digest(parsed.spec, harden);
+      ScenarioSpec threaded = parsed.spec;
+      threaded.threads = 4;
+      EXPECT_EQ(serve_report_digest(threaded, harden), serial)
+          << "report lines depend on the stepping thread count";
+      pin += serial;
+    }
+  }
+
+  const fs::path pin_path =
+      fs::path(HEADROOM_GOLDEN_DIR) / "serve" / "reports.digest";
+  if (std::getenv("HEADROOM_UPDATE_GOLDENS") != nullptr) {
+    fs::create_directories(pin_path.parent_path());
+    std::ofstream out(pin_path, std::ios::binary);
+    out << pin;
+    ASSERT_TRUE(out.good()) << "failed to write " << pin_path;
+    GTEST_SKIP() << "updated " << pin_path;
+  }
+  ASSERT_TRUE(fs::exists(pin_path))
+      << "no report pin; run with HEADROOM_UPDATE_GOLDENS=1 to create it";
+  EXPECT_EQ(pin, read_file(pin_path))
+      << "report lines drifted from " << pin_path
+      << "; if intentional, regenerate with HEADROOM_UPDATE_GOLDENS=1";
 }
 
 // --- Follow mode over a recorded trace --------------------------------------
