@@ -52,8 +52,8 @@ class PoolResponseModel {
       const PoolModelOptions& options = {});
 
   /// Assembles a model from fits computed elsewhere — the incremental
-  /// serve path maintains both curves from running sums over a rolling
-  /// window (core/rolling_plan.h) instead of refitting scatters.
+  /// serve path keeps both curves in stats::RollingOls rings over a
+  /// rolling window (core/rolling_plan.h) instead of refitting scatters.
   [[nodiscard]] static PoolResponseModel from_fits(
       stats::LinearFit cpu_fit, stats::PolynomialFit latency_fit,
       double latency_inlier_fraction = 1.0);

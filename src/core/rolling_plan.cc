@@ -1,79 +1,17 @@
 #include "core/rolling_plan.h"
 
-#include <array>
-#include <cmath>
-#include <stdexcept>
+#include <algorithm>
 #include <vector>
 
 #include "stats/percentile.h"
-#include "stats/rolling_ols.h"
 
 namespace headroom::core {
 
-namespace {
-
-/// Solves the 3x3 system A c = b by Gaussian elimination with partial
-/// pivoting. Returns false when the system is (near-)singular — e.g. a
-/// constant-load window where every x power collapses.
-bool solve3(std::array<std::array<double, 3>, 3> a, std::array<double, 3> b,
-            std::array<double, 3>& out) {
-  for (int col = 0; col < 3; ++col) {
-    int pivot = col;
-    for (int row = col + 1; row < 3; ++row) {
-      if (std::fabs(a[row][col]) > std::fabs(a[pivot][col])) pivot = row;
-    }
-    if (std::fabs(a[pivot][col]) < 1e-12) return false;
-    std::swap(a[col], a[pivot]);
-    std::swap(b[col], b[pivot]);
-    for (int row = col + 1; row < 3; ++row) {
-      const double f = a[row][col] / a[col][col];
-      for (int k = col; k < 3; ++k) a[row][k] -= f * a[col][k];
-      b[row] -= f * b[col];
-    }
-  }
-  for (int col = 2; col >= 0; --col) {
-    double acc = b[col];
-    for (int k = col + 1; k < 3; ++k) acc -= a[col][k] * out[k];
-    out[col] = acc / a[col][col];
-  }
-  return true;
-}
-
-}  // namespace
-
 RollingPoolPlanner::RollingPoolPlanner(HeadroomPolicy policy, Options options)
-    : policy_(policy), options_(options) {
-  if (options_.lookback_windows == 0) {
-    throw std::invalid_argument(
-        "RollingPoolPlanner: lookback must be positive");
-  }
-  if (options_.min_windows == 0) options_.min_windows = 1;
-}
-
-void RollingPoolPlanner::accumulate(const Window& w, double sign) {
-  const double x = w.rps;
-  const double x2 = x * x;
-  sx_ += sign * x;
-  sx2_ += sign * x2;
-  sx3_ += sign * x2 * x;
-  sx4_ += sign * x2 * x2;
-  scpu_ += sign * w.cpu;
-  sxcpu_ += sign * x * w.cpu;
-  scpu2_ += sign * w.cpu * w.cpu;
-  slat_ += sign * w.latency;
-  sxlat_ += sign * x * w.latency;
-  sx2lat_ += sign * x2 * w.latency;
-  slat2_ += sign * w.latency * w.latency;
-}
-
-void RollingPoolPlanner::rebuild_sums() {
-  sx_ = sx2_ = sx3_ = sx4_ = 0.0;
-  scpu_ = sxcpu_ = scpu2_ = 0.0;
-  slat_ = sxlat_ = sx2lat_ = slat2_ = 0.0;
-  for (const Window& w : ring_) accumulate(w, 1.0);
-  evictions_since_rebuild_ = 0;
-  ++rebuilds_;
-}
+    : policy_(policy),
+      min_windows_(std::max<std::size_t>(options.min_windows, 1)),
+      cpu_(options.lookback_windows),
+      latency_(options.lookback_windows) {}
 
 void RollingPoolPlanner::add_window(double rps_per_server, double cpu_pct,
                                     double latency_p95_ms, bool healed) {
@@ -83,62 +21,20 @@ void RollingPoolPlanner::add_window(double rps_per_server, double cpu_pct,
     ++untrusted_windows_;
     return;
   }
-  const Window w{rps_per_server, cpu_pct, latency_p95_ms};
-  ring_.push_back(w);
-  accumulate(w, 1.0);
-  if (ring_.size() > options_.lookback_windows) {
-    accumulate(ring_.front(), -1.0);
-    ring_.pop_front();
-    // Subtracting departures accumulates rounding; rebuilding from the
-    // ring once per lookback of evictions keeps the amortized cost O(1)
-    // while bounding the drift to one lookback's worth.
-    if (++evictions_since_rebuild_ >= options_.lookback_windows) {
-      rebuild_sums();
-    }
-  }
+  cpu_.add(rps_per_server, cpu_pct);
+  latency_.add(rps_per_server, latency_p95_ms);
 }
 
 PoolResponseModel RollingPoolPlanner::model() const {
-  const auto n = static_cast<double>(ring_.size());
-  // The linear CPU fit shares its normal-equation solve with
-  // stats::RollingOls (the machinery this class's ring/evict/rebuild
-  // pattern was generalized into).
-  const stats::LinearFit cpu = stats::linear_fit_from_sums(
-      ring_.size(), sx_, sx2_, scpu_, sxcpu_, scpu2_);
-
-  stats::PolynomialFit latency;
-  latency.n = ring_.size();
-  std::array<double, 3> coeffs{};
-  const std::array<std::array<double, 3>, 3> a{{{n, sx_, sx2_},
-                                                {sx_, sx2_, sx3_},
-                                                {sx2_, sx3_, sx4_}}};
-  if (ring_.size() >= 3 && solve3(a, {slat_, sxlat_, sx2lat_}, coeffs)) {
-    latency.coeffs = {coeffs[0], coeffs[1], coeffs[2]};
-    const double ss_tot = slat2_ - slat_ * slat_ / n;
-    const double s_hat =
-        coeffs[0] * slat_ + coeffs[1] * sxlat_ + coeffs[2] * sx2lat_;
-    const double s_hat2 =
-        coeffs[0] * coeffs[0] * n + coeffs[1] * coeffs[1] * sx2_ +
-        coeffs[2] * coeffs[2] * sx4_ + 2.0 * coeffs[0] * coeffs[1] * sx_ +
-        2.0 * coeffs[0] * coeffs[2] * sx2_ + 2.0 * coeffs[1] * coeffs[2] * sx3_;
-    const double ss_res = slat2_ - 2.0 * s_hat + s_hat2;
-    latency.r_squared =
-        ss_tot > 1e-12 ? std::max(0.0, 1.0 - ss_res / ss_tot) : 0.0;
-  } else if (!ring_.empty()) {
-    latency.coeffs = {slat_ / n};  // constant through the mean
-  }
-
-  return PoolResponseModel::from_fits(cpu, std::move(latency));
+  return PoolResponseModel::from_fits(cpu_.fit(), latency_.quadratic());
 }
 
 std::optional<HeadroomPlan> RollingPoolPlanner::plan(
     std::size_t current_servers) const {
-  if (ring_.size() < options_.min_windows || current_servers == 0) {
-    return std::nullopt;
-  }
+  if (size() < min_windows_ || current_servers == 0) return std::nullopt;
   std::vector<double> rps;
-  rps.reserve(ring_.size());
-  for (const Window& w : ring_) rps.push_back(w.rps);
+  rps.reserve(size());
+  for (const stats::RollingOls::Point& p : cpu_.points()) rps.push_back(p.x);
   const double p95 = stats::percentile(rps, 95.0);
   return HeadroomOptimizer(policy_).plan(model(), p95, current_servers);
 }

@@ -2,13 +2,14 @@
 //
 // Serve mode re-emits a headroom recommendation for every pool after every
 // telemetry window. Refitting PoolResponseModel from scratch each time
-// would make a window cost O(history); this planner instead maintains the
-// two response curves from running sums over a bounded ring of the most
-// recent windows — add_window() is O(1) amortized (eviction subtracts the
-// departing window's terms; the sums are periodically rebuilt from the
-// ring to wash out floating-point drift) and plan() assembles the model
-// from the sums in O(1) plus an exact P95 scan of the ring. Cost per
-// window is therefore flat in feed length: O(lookback), never O(history).
+// would make a window cost O(history); this planner instead keeps the two
+// response curves in stats::RollingOls rings of the most recent windows —
+// the linear %CPU fit and the quadratic latency fit, both over RPS per
+// server — so add_window() is O(1) amortized and plan() assembles the
+// model in O(1) plus an exact P95 scan of the ring. Cost per window is
+// therefore flat in feed length: O(lookback), never O(history). What the
+// planner adds is its own: the healed-window discount, the P95 operating
+// point, and the call into HeadroomOptimizer.
 //
 // The rolling fits are ordinary least squares (no RANSAC — robustness over
 // a short, recent window buys little and would cost a full refit); the
@@ -17,17 +18,18 @@
 #pragma once
 
 #include <cstddef>
-#include <deque>
 #include <optional>
 
 #include "core/headroom_optimizer.h"
+#include "stats/rolling_ols.h"
 
 namespace headroom::core {
 
 class RollingPoolPlanner {
  public:
   struct Options {
-    /// Windows retained in the ring (the fit lookback). Must be positive.
+    /// Windows retained in the ring (the fit lookback). Must be positive;
+    /// zero throws std::invalid_argument.
     std::size_t lookback_windows = 720;  ///< One day of 120 s windows.
     /// Minimum ring occupancy before plan() yields anything; below it the
     /// fits are too thin to trust (mirrors the model's min points-per-fit).
@@ -36,8 +38,8 @@ class RollingPoolPlanner {
 
   RollingPoolPlanner(HeadroomPolicy policy, Options options);
 
-  /// Folds one completed window into the rolling state, evicting the
-  /// oldest window once the ring is full. O(1) amortized. A window marked
+  /// Folds one completed window into both fits, evicting the oldest
+  /// window once the ring is full. O(1) amortized. A window marked
   /// `healed` (gap-fill synthesized by the degradation layer, not observed
   /// telemetry) is discounted: counted in untrusted_windows() but never
   /// folded into the fits, so the rolling model only ever fits real data
@@ -51,39 +53,26 @@ class RollingPoolPlanner {
   [[nodiscard]] std::optional<HeadroomPlan> plan(
       std::size_t current_servers) const;
 
-  /// Rolling response model assembled from the running sums (also what
-  /// plan() uses). Meaningful once size() >= min_windows.
+  /// Rolling response model over the ring (also what plan() uses).
+  /// Meaningful once size() >= min_windows.
   [[nodiscard]] PoolResponseModel model() const;
 
-  [[nodiscard]] std::size_t size() const noexcept { return ring_.size(); }
-  /// Full-ring sum rebuilds performed so far (drift-control gauge).
-  [[nodiscard]] std::size_t rebuilds() const noexcept { return rebuilds_; }
+  [[nodiscard]] std::size_t size() const noexcept { return cpu_.size(); }
+  /// Full-ring sum rebuilds performed so far (drift-control gauge). Both
+  /// fits see the same windows, so they rebuild together; one is counted.
+  [[nodiscard]] std::size_t rebuilds() const noexcept {
+    return cpu_.rebuilds();
+  }
   /// Healed windows offered and discounted (degraded-feed gauge).
   [[nodiscard]] std::size_t untrusted_windows() const noexcept {
     return untrusted_windows_;
   }
 
  private:
-  struct Window {
-    double rps = 0.0;
-    double cpu = 0.0;
-    double latency = 0.0;
-  };
-
-  void accumulate(const Window& w, double sign);
-  void rebuild_sums();
-
   HeadroomPolicy policy_;
-  Options options_;
-  std::deque<Window> ring_;
-  // Running sums for the OLS normal equations: powers of x (= RPS/server)
-  // up to x^4 for the quadratic latency fit, cross terms for both targets,
-  // and squared targets for R².
-  double sx_ = 0.0, sx2_ = 0.0, sx3_ = 0.0, sx4_ = 0.0;
-  double scpu_ = 0.0, sxcpu_ = 0.0, scpu2_ = 0.0;
-  double slat_ = 0.0, sxlat_ = 0.0, sx2lat_ = 0.0, slat2_ = 0.0;
-  std::size_t evictions_since_rebuild_ = 0;
-  std::size_t rebuilds_ = 0;
+  std::size_t min_windows_;
+  stats::RollingOls cpu_;      ///< (RPS per server, %CPU), fit linearly.
+  stats::RollingOls latency_;  ///< (RPS per server, latency P95), quadratic.
   std::size_t untrusted_windows_ = 0;
 };
 

@@ -1,8 +1,8 @@
 // Trend x season demand decomposition with residual-quantile bands.
 //
 // Factors a demand history into (1) a growth trend — rolling OLS of demand
-// on time over a bounded lookback ring (stats::RollingOls, the
-// RollingPoolPlanner running-sum machinery) — and (2) a multiplicative
+// on time over a bounded lookback ring (stats::RollingOls, which serve's
+// RollingPoolPlanner fits through too) — and (2) a multiplicative
 // seasonal profile: per-bucket EWMA levels of the observed/trend ratio,
 // held in the same ml::SeasonalProfile the DemandForecaster uses. A
 // forecast for time t is trend(t) x season(bucket(t)); the spread of

@@ -1,7 +1,13 @@
 #include "stats/rolling_ols.h"
 
+#include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
+#include <utility>
+#include <vector>
+
+#include "stats/matrix.h"
 
 namespace headroom::stats {
 
@@ -34,15 +40,20 @@ RollingOls::RollingOls(std::size_t lookback) : lookback_(lookback) {
 }
 
 void RollingOls::accumulate(const Point& p, double sign) {
+  const double x2 = p.x * p.x;
   sx_ += sign * p.x;
-  sx2_ += sign * p.x * p.x;
+  sx2_ += sign * x2;
+  sx3_ += sign * x2 * p.x;
+  sx4_ += sign * x2 * x2;
   sy_ += sign * p.y;
   sxy_ += sign * p.x * p.y;
+  sx2y_ += sign * x2 * p.y;
   sy2_ += sign * p.y * p.y;
 }
 
 void RollingOls::rebuild_sums() {
-  sx_ = sx2_ = sy_ = sxy_ = sy2_ = 0.0;
+  sx_ = sx2_ = sx3_ = sx4_ = 0.0;
+  sy_ = sxy_ = sx2y_ = sy2_ = 0.0;
   for (const Point& p : ring_) accumulate(p, 1.0);
   evictions_since_rebuild_ = 0;
   ++rebuilds_;
@@ -66,6 +77,38 @@ void RollingOls::add(double x, double y) {
 
 LinearFit RollingOls::fit() const {
   return linear_fit_from_sums(ring_.size(), sx_, sx2_, sy_, sxy_, sy2_);
+}
+
+PolynomialFit RollingOls::quadratic() const {
+  const auto n = static_cast<double>(ring_.size());
+  PolynomialFit fit;
+  fit.n = ring_.size();
+  if (ring_.size() >= 3) {
+    // Normal equations: entry (r, k) is Σx^(r+k).
+    const double moments[5] = {n, sx_, sx2_, sx3_, sx4_};
+    Matrix a(3, 3);
+    for (std::size_t r = 0; r < 3; ++r) {
+      for (std::size_t k = 0; k < 3; ++k) a.at(r, k) = moments[r + k];
+    }
+    const std::optional<std::vector<double>> solved =
+        solve_linear_system(std::move(a), {sy_, sxy_, sx2y_});
+    if (solved) {
+      const std::vector<double>& c = *solved;
+      fit.coeffs = c;
+      // R² = 1 - SS_res / SS_tot, both expanded into the running sums.
+      const double ss_tot = sy2_ - sy_ * sy_ / n;
+      const double s_hat = c[0] * sy_ + c[1] * sxy_ + c[2] * sx2y_;
+      const double s_hat2 = c[0] * c[0] * n + c[1] * c[1] * sx2_ +
+                            c[2] * c[2] * sx4_ + 2.0 * c[0] * c[1] * sx_ +
+                            2.0 * c[0] * c[2] * sx2_ + 2.0 * c[1] * c[2] * sx3_;
+      const double ss_res = sy2_ - 2.0 * s_hat + s_hat2;
+      fit.r_squared =
+          ss_tot > 1e-12 ? std::max(0.0, 1.0 - ss_res / ss_tot) : 0.0;
+      return fit;
+    }
+  }
+  if (!ring_.empty()) fit.coeffs = {sy_ / n};  // flat fit through the mean
+  return fit;
 }
 
 }  // namespace headroom::stats

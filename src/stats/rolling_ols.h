@@ -1,19 +1,20 @@
-// Rolling one-predictor OLS over a bounded ring of observations.
+// Rolling one-predictor least squares over a bounded ring of observations.
 //
-// The running-sum machinery extracted from core::RollingPoolPlanner so
-// layers below core (ml's trend estimation) can fit incrementally too:
-// add() is O(1) amortized — eviction subtracts the departing point's
-// terms, and the sums are rebuilt from the ring once per lookback of
-// evictions to wash out floating-point drift — and fit() assembles a
-// stats::LinearFit from the sums in O(1). The normal-equation solve is
-// shared with RollingPoolPlanner via linear_fit_from_sums(), so the two
-// paths cannot drift apart arithmetically.
+// The one home for the project's incremental fits: serve's per-window
+// response curves (core::RollingPoolPlanner — a line for %CPU, a
+// quadratic for latency) and the forecaster's growth trend
+// (ml::TrendSeasonDecomposition). add() is O(1) amortized — eviction
+// subtracts the departing point's terms, and the sums are rebuilt from
+// the ring once per lookback of evictions to wash out floating-point
+// drift — and fit() / quadratic() assemble a fit from the running sums in
+// O(1).
 #pragma once
 
 #include <cstddef>
 #include <deque>
 
 #include "stats/linear_model.h"
+#include "stats/polynomial.h"
 
 namespace headroom::stats {
 
@@ -26,6 +27,11 @@ namespace headroom::stats {
 
 class RollingOls {
  public:
+  struct Point {
+    double x = 0.0;
+    double y = 0.0;
+  };
+
   /// `lookback` bounds the ring (must be positive): only the most recent
   /// `lookback` points participate in the fit.
   explicit RollingOls(std::size_t lookback);
@@ -33,26 +39,33 @@ class RollingOls {
   /// Folds one (x, y) point, evicting the oldest once the ring is full.
   void add(double x, double y);
 
-  /// The OLS fit over the ring's current contents.
+  /// The linear OLS fit over the ring's current contents.
   [[nodiscard]] LinearFit fit() const;
 
+  /// The quadratic OLS fit y = c0 + c1 x + c2 x² over the ring's current
+  /// contents. With fewer than 3 points or a singular system (e.g. every
+  /// x equal), returns a flat fit {mean y} with r_squared = 0.
+  [[nodiscard]] PolynomialFit quadratic() const;
+
+  /// The resident points, oldest first.
+  [[nodiscard]] const std::deque<Point>& points() const noexcept {
+    return ring_;
+  }
   [[nodiscard]] std::size_t size() const noexcept { return ring_.size(); }
   [[nodiscard]] std::size_t lookback() const noexcept { return lookback_; }
   /// Full-ring sum rebuilds performed so far (drift-control gauge).
   [[nodiscard]] std::size_t rebuilds() const noexcept { return rebuilds_; }
 
  private:
-  struct Point {
-    double x = 0.0;
-    double y = 0.0;
-  };
-
   void accumulate(const Point& p, double sign);
   void rebuild_sums();
 
   std::size_t lookback_;
   std::deque<Point> ring_;
-  double sx_ = 0.0, sx2_ = 0.0, sy_ = 0.0, sxy_ = 0.0, sy2_ = 0.0;
+  // Powers of x up to x⁴ for the quadratic's normal equations, cross
+  // terms up to x²y, and Σy² for R².
+  double sx_ = 0.0, sx2_ = 0.0, sx3_ = 0.0, sx4_ = 0.0;
+  double sy_ = 0.0, sxy_ = 0.0, sx2y_ = 0.0, sy2_ = 0.0;
   std::size_t evictions_since_rebuild_ = 0;
   std::size_t rebuilds_ = 0;
 };
