@@ -163,6 +163,14 @@ struct Manifest {
         return fail(line_no,
                     "bad pool entry '" + value + "' (expected 'DC POOL FILE')");
       }
+      for (const PoolEntry& listed : manifest->pools) {
+        if (listed.datacenter == entry.datacenter &&
+            listed.pool == entry.pool) {
+          return fail(line_no, "pool (" + std::to_string(entry.datacenter) +
+                                   ", " + std::to_string(entry.pool) +
+                                   ") is listed twice");
+        }
+      }
       entry.file = words[2];
       manifest->pools.push_back(entry);
     } else {

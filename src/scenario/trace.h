@@ -18,7 +18,7 @@
 // `serve --trace --follow`, so a damaged directory gets the same first
 // diagnostic from each. The order of checks (load_trace_feed does 1-5,
 // read_trace_pools does 6):
-//   1. the manifest opens and parses;
+//   1. the manifest opens and parses, listing each (DC, POOL) once;
 //   2. the scenario file loads;
 //   3. the manifest's window_seconds, then its horizon_seconds, agree with
 //      the scenario;

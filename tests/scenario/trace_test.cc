@@ -275,6 +275,9 @@ TEST(TraceLoad, EverySubcommandReportsTheSameFirstDiagnostic) {
       {"same_horizon", {{"manifest.ini", bad_horizon}},
        "horizon_seconds disagrees with the scenario's days"},
       {"same_notarget", {{"manifest.ini", no_target}}, "no pool (0, 0)"},
+      {"same_duppool",
+       {{"manifest.ini", std::string(kManifest) + "pool = 0 0 pool_0_0.csv\n"}},
+       "manifest.ini:7: pool (0, 0) is listed twice"},
       {"same_nodays", {{"server_day_cpu.csv", "<absent>"}},
        "server_day_cpu.csv: cannot open server-day trace"},
       {"same_badday",
