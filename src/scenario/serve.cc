@@ -205,7 +205,7 @@ void deliver_window(const telemetry::MetricStore& source, SimTime t,
 }
 
 /// Parses a double accepting the non-finite spellings strtod does ("nan",
-/// "inf") — the hardened tailer lets those through so the health monitor
+/// "inf") — the follow tailer lets those through so the health monitor
 /// can quarantine them instead of the reader dying on them.
 [[nodiscard]] bool parse_any_double(const std::string& field, double* out) {
   if (field.empty()) return false;
@@ -217,36 +217,29 @@ void deliver_window(const telemetry::MetricStore& source, SimTime t,
 }
 
 /// Incremental reader of one growing pool CSV: remembers the byte offset
-/// reached, ingests only complete new lines each poll (a partial trailing
-/// line is carried to the next poll), and enforces the same header/field
-/// validation as telemetry::read_pool_csv, with `path:line` diagnostics.
-///
-/// Two dispositions. Strict (no monitor): any malformed or misordered row
-/// throws — replay semantics, a recording must be perfect. Hardened (a
-/// HealthMonitor attached): rows route sample-by-sample through the
-/// monitor, which quarantines duplicates, reordering, and non-finite
-/// values; rows that do not even parse are counted per pool
-/// (note_malformed_row) and skipped. Header errors are fatal either way —
-/// a wrong schema is a misconfiguration, not line noise.
+/// reached, reads only complete new lines each poll (a partial trailing
+/// line is carried to the next poll), and routes each row sample by sample
+/// through a HealthMonitor, which quarantines duplicated, reordered and
+/// non-finite values. Rows that do not even parse are counted per pool
+/// (note_malformed_row) and skipped. Header errors are fatal, with a
+/// `path:line` diagnostic — a wrong schema is a misconfiguration, not
+/// line noise.
 class CsvTailReader {
  public:
   CsvTailReader(std::string path, std::uint32_t datacenter, std::uint32_t pool,
-                core::HealthMonitor* monitor = nullptr)
+                core::HealthMonitor* monitor)
       : path_(std::move(path)), datacenter_(datacenter), pool_(pool),
         monitor_(monitor) {}
 
-  /// Reads newly appended complete rows into `store` (strict) or through
-  /// the monitor (hardened). Returns rows handed on; 0 when the file is
-  /// absent or has not grown. Throws std::runtime_error on malformed
-  /// content in strict mode. A file that was readable before but fails to
-  /// open now counts an IO retry (hardened) and reads as idle — the next
-  /// poll is the retry, bounded by the caller's idle watchdog.
-  std::size_t poll(telemetry::MetricStore* store) {
+  /// Reads newly appended complete rows through the monitor. Returns rows
+  /// handed on; 0 when the file is absent or has not grown. A file that
+  /// was readable before but fails to open now counts an IO retry and
+  /// reads as idle — the next poll is the retry, bounded by the caller's
+  /// idle watchdog.
+  std::size_t poll() {
     std::ifstream in(path_, std::ios::binary);
     if (!in) {
-      if (offset_ > 0 && monitor_ != nullptr) {
-        monitor_->note_io_retry(datacenter_, pool_);
-      }
+      if (offset_ > 0) monitor_->note_io_retry(datacenter_, pool_);
       return 0;  // not written yet (or transiently unreadable) — idle
     }
     in.seekg(offset_);
@@ -258,7 +251,6 @@ class CsvTailReader {
     partial_ += chunk;
 
     std::size_t rows = 0;
-    telemetry::MetricBuffer buffer;
     std::size_t begin = 0;
     while (true) {
       const std::size_t nl = partial_.find('\n', begin);
@@ -267,10 +259,9 @@ class CsvTailReader {
       begin = nl + 1;
       if (!line.empty() && line.back() == '\r') line.pop_back();
       ++line_no_;
-      consume_line(line, &buffer, &rows);
+      consume_line(line, &rows);
     }
     partial_.erase(0, begin);
-    if (!buffer.empty()) store->merge(buffer);
     return rows;
   }
 
@@ -280,64 +271,33 @@ class CsvTailReader {
                              message);
   }
 
-  void consume_line(const std::string& line, telemetry::MetricBuffer* buffer,
-                    std::size_t* rows) {
+  void consume_line(const std::string& line, std::size_t* rows) {
     if (keys_.empty()) {
       parse_header(line);
       return;
     }
     if (line.empty()) return;  // tolerate blank lines, like read_pool_csv
-    const bool hardened = monitor_ != nullptr;
     const std::vector<std::string> fields =
         telemetry::split_csv_fields(line, ',');
-    if (fields.size() != keys_.size() + 1) {
-      if (hardened) {
-        monitor_->note_malformed_row(datacenter_, pool_);
-        return;
-      }
-      fail("expected " + std::to_string(keys_.size() + 1) + " fields, got " +
-           std::to_string(fields.size()));
-    }
     SimTime t = 0;
-    if (!telemetry::parse_int64(fields[0], &t)) {
-      if (hardened) {
-        monitor_->note_malformed_row(datacenter_, pool_);
-        return;
-      }
-      fail("bad window_start '" + fields[0] + "' (expected an integer)");
-    }
-    if (!hardened && have_last_ && t <= last_time_) {
-      // Hardened mode leaves ordering to the monitor, which quarantines
-      // duplicated and time-reversed windows per series.
-      fail("window_start " + std::to_string(t) +
-           " is not after the previous row (" + std::to_string(last_time_) +
-           "); rows must be strictly time-ordered");
+    if (fields.size() != keys_.size() + 1 ||
+        !telemetry::parse_int64(fields[0], &t)) {
+      monitor_->note_malformed_row(datacenter_, pool_);
+      return;
     }
     // Parse the whole row before handing any of it on, so a malformed
     // field never leaves a half-ingested window behind.
     row_values_.clear();
     for (std::size_t c = 0; c < keys_.size(); ++c) {
       double v = 0.0;
-      if (hardened ? !parse_any_double(fields[c + 1], &v)
-                   : !telemetry::parse_finite_double(fields[c + 1], &v)) {
-        if (hardened) {
-          monitor_->note_malformed_row(datacenter_, pool_);
-          return;
-        }
-        fail("bad value '" + fields[c + 1] + "' for column '" +
-             std::string(telemetry::to_string(keys_[c].metric)) +
-             "' (expected a finite number)");
+      if (!parse_any_double(fields[c + 1], &v)) {
+        monitor_->note_malformed_row(datacenter_, pool_);
+        return;
       }
       row_values_.push_back(v);
     }
-    last_time_ = t;
-    have_last_ = true;
     for (std::size_t c = 0; c < keys_.size(); ++c) {
-      if (hardened) {
-        monitor_->ingest(keys_[c], t, row_values_[c]);
-      } else {
-        buffer->record(keys_[c], t, row_values_[c]);
-      }
+      monitor_->ingest(keys_[c], t, row_values_[c]);
     }
     ++*rows;
   }
@@ -365,13 +325,11 @@ class CsvTailReader {
   std::string path_;
   std::uint32_t datacenter_;
   std::uint32_t pool_;
-  core::HealthMonitor* monitor_ = nullptr;
+  core::HealthMonitor* monitor_;
   std::streamoff offset_ = 0;
   std::string partial_;
   std::vector<telemetry::SeriesKey> keys_;
   std::vector<double> row_values_;
-  SimTime last_time_ = 0;
-  bool have_last_ = false;
   std::size_t line_no_ = 0;
 };
 
@@ -617,7 +575,7 @@ ServeResult ServeRunner::follow(const std::string& trace_dir,
   bool feed_dead = false;
   const auto ingest = [&]() {
     std::size_t rows = 0;
-    for (CsvTailReader& tail : tails) rows += tail.poll(&feed);
+    for (CsvTailReader& tail : tails) rows += tail.poll();
     if (rows > 0) {
       idle_polls = 0;
       monitor.advance(target_feed_end(feed, window));
