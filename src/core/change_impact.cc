@@ -29,39 +29,6 @@ double ShiftedResponseModel::predict_cpu_pct(double rps_per_server) const {
   return production_->predict_cpu_pct(rps_per_server) + cpu_delta_pct_;
 }
 
-double ShiftedResponseModel::max_rps_within_slo(double anchor_rps,
-                                                double latency_slo_ms,
-                                                double max_extrapolation) const {
-  if (anchor_rps <= 0.0) {
-    throw std::invalid_argument("max_rps_within_slo: anchor must be positive");
-  }
-  if (predict_latency_ms(anchor_rps) > latency_slo_ms) return anchor_rps;
-  const double hi_limit = anchor_rps * max_extrapolation;
-  constexpr int kScanSteps = 64;
-  double best = anchor_rps;
-  for (int i = 1; i <= kScanSteps; ++i) {
-    const double x = anchor_rps + (hi_limit - anchor_rps) *
-                                      static_cast<double>(i) /
-                                      static_cast<double>(kScanSteps);
-    if (predict_latency_ms(x) <= latency_slo_ms) {
-      best = x;
-    } else {
-      break;
-    }
-  }
-  double lo = best;
-  double hi = std::min(hi_limit, best + (hi_limit - anchor_rps) / kScanSteps);
-  for (int iter = 0; iter < 40; ++iter) {
-    const double mid = (lo + hi) / 2.0;
-    if (predict_latency_ms(mid) <= latency_slo_ms) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
 ChangeImpactPlanner::ChangeImpactPlanner(HeadroomPolicy policy)
     : policy_(policy) {
   if (policy_.qos.latency.p95_ms <= 0.0) {

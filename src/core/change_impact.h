@@ -52,10 +52,6 @@ class ShiftedResponseModel {
 
   [[nodiscard]] double predict_latency_ms(double rps_per_server) const;
   [[nodiscard]] double predict_cpu_pct(double rps_per_server) const;
-  /// Largest per-server RPS within the SLO under the shifted curve.
-  [[nodiscard]] double max_rps_within_slo(double anchor_rps,
-                                          double latency_slo_ms,
-                                          double max_extrapolation) const;
 
  private:
   const PoolResponseModel* production_;
