@@ -90,11 +90,10 @@ PolynomialFit RollingOls::quadratic() const {
     for (std::size_t r = 0; r < 3; ++r) {
       for (std::size_t k = 0; k < 3; ++k) a.at(r, k) = moments[r + k];
     }
-    const std::optional<std::vector<double>> solved =
+    std::optional<std::vector<double>> solved =
         solve_linear_system(std::move(a), {sy_, sxy_, sx2y_});
     if (solved) {
       const std::vector<double>& c = *solved;
-      fit.coeffs = c;
       // R² = 1 - SS_res / SS_tot, both expanded into the running sums.
       const double ss_tot = sy2_ - sy_ * sy_ / n;
       const double s_hat = c[0] * sy_ + c[1] * sxy_ + c[2] * sx2y_;
@@ -104,6 +103,7 @@ PolynomialFit RollingOls::quadratic() const {
       const double ss_res = sy2_ - 2.0 * s_hat + s_hat2;
       fit.r_squared =
           ss_tot > 1e-12 ? std::max(0.0, 1.0 - ss_res / ss_tot) : 0.0;
+      fit.coeffs = std::move(*solved);
       return fit;
     }
   }
