@@ -1,11 +1,11 @@
 // RollingOls / linear_fit_from_sums: the running-sum OLS behind
 // core::RollingPoolPlanner (linear %CPU, quadratic latency) and
-// ml::TrendSeasonDecomposition (linear trend).
+// ml::TrendSeasonDecomposition (linear trend). The quadratic fit's
+// accuracy, eviction and drift are tested through the planner
+// (tests/core/rolling_plan_test.cc); its fallbacks are tested here.
 #include "stats/rolling_ols.h"
 
 #include <gtest/gtest.h>
-
-#include "stats/polynomial.h"
 
 #include <cstdint>
 #include <stdexcept>
@@ -101,41 +101,6 @@ TEST(RollingOls, MatchesBatchFitAfterManyEvictions) {
   const LinearFit rolling = ols.fit();
   EXPECT_NEAR(rolling.slope, batch.slope, 1e-9);
   EXPECT_NEAR(rolling.intercept, batch.intercept, 1e-6);
-}
-
-TEST(RollingOls, QuadraticRecoversTheCurveAfterEviction) {
-  // A steep first regime, then y = 4 - 0.5x + 0.25x² filling the ring.
-  RollingOls ols(20);
-  for (int i = 0; i < 30; ++i) ols.add(static_cast<double>(i), 100.0 * i);
-  for (int i = 0; i < 20; ++i) {
-    const double x = 0.5 * i;
-    ols.add(x, 4.0 - 0.5 * x + 0.25 * x * x);
-  }
-  const PolynomialFit fit = ols.quadratic();
-  EXPECT_EQ(fit.n, 20u);
-  ASSERT_EQ(fit.coeffs.size(), 3u);
-  EXPECT_NEAR(fit.coeffs[0], 4.0, 1e-8);
-  EXPECT_NEAR(fit.coeffs[1], -0.5, 1e-8);
-  EXPECT_NEAR(fit.coeffs[2], 0.25, 1e-9);
-  EXPECT_NEAR(fit.r_squared, 1.0, 1e-9);
-}
-
-TEST(RollingOls, QuadraticMatchesTheBatchFitter) {
-  RollingOls ols(64);
-  std::vector<double> xs, ys;
-  for (int i = 0; i < 64; ++i) {
-    const double x = 100.0 + 2.0 * i;
-    const double y = 20.0 + 0.004 * x + 0.00002 * x * x + (i % 7 - 3) * 0.05;
-    ols.add(x, y);
-    xs.push_back(x);
-    ys.push_back(y);
-  }
-  const PolynomialFit rolling = ols.quadratic();
-  const PolynomialFit batch = fit_quadratic(xs, ys);
-  for (const double x : {110.0, 160.0, 220.0}) {
-    EXPECT_NEAR(rolling.predict(x), batch.predict(x), 1e-6);
-  }
-  EXPECT_NEAR(rolling.r_squared, batch.r_squared, 1e-6);
 }
 
 TEST(RollingOls, QuadraticFallsBackToTheMean) {
