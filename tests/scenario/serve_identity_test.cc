@@ -109,21 +109,26 @@ TEST(ServeRetention, ExperimentPhaseEvictsConsumedHistory) {
   ParseResult parsed = load_scenario_file(
       (fs::path(HEADROOM_SCENARIO_DIR) / "fig6_flash_crowd.scn").string());
   ASSERT_TRUE(parsed.ok()) << parsed.error;
+  // The counts are pinned exactly: eviction that drops a sample too many
+  // or too few shifts them, however the store lays its columns out.
   const ServeResult served = ServeRunner().serve(parsed.spec, {});
-  EXPECT_GT(served.evicted_samples, 0u);
-  EXPECT_GT(served.resident_samples, 0u);
-  // The bulk of a 7-day feed is outside the 2-day retention window.
-  EXPECT_LT(served.resident_samples, served.evicted_samples);
+  EXPECT_EQ(served.resident_samples, 79255u);
+  EXPECT_EQ(served.evicted_samples, 197945u);
 }
 
 // --- Per-window report lines ------------------------------------------------
 
-/// The report lines of one serve run, reduced to what the pin records:
-/// the line count and the 64-bit FNV-1a digest of the bytes `serve --out`
-/// writes to windows.log (each line followed by '\n').
-std::string serve_report_digest(const ScenarioSpec& spec, bool harden) {
-  ServeOptions opt;
-  opt.harden = harden;
+/// A serve run reduced to what the pins record: the report lines' count
+/// and the 64-bit FNV-1a digest of the bytes `serve --out` writes to
+/// windows.log (each line followed by '\n'), plus the store's closing
+/// resident and evicted sample counts.
+struct ServeDigest {
+  std::string reports;
+  std::size_t resident_samples = 0;
+  std::size_t evicted_samples = 0;
+};
+
+ServeDigest serve_digest(const ScenarioSpec& spec, const ServeOptions& opt) {
   std::size_t lines = 0;
   std::uint64_t hash = 0xcbf29ce484222325ULL;
   const auto fold = [&hash](char c) {
@@ -135,12 +140,19 @@ std::string serve_report_digest(const ScenarioSpec& spec, bool harden) {
     for (const char c : line) fold(c);
     fold('\n');
   };
-  (void)ServeRunner(opt).serve(spec, emit);
+  const ServeResult served = ServeRunner(opt).serve(spec, emit);
   char digest[17];
   std::snprintf(digest, sizeof digest, "%016llx",
                 static_cast<unsigned long long>(hash));
-  return spec.name + (harden ? " harden" : " plain") +
-         " lines=" + std::to_string(lines) + " fnv1a64=" + digest + "\n";
+  return {spec.name + (opt.harden ? " harden" : " plain") +
+              " lines=" + std::to_string(lines) + " fnv1a64=" + digest + "\n",
+          served.resident_samples, served.evicted_samples};
+}
+
+std::string serve_report_digest(const ScenarioSpec& spec, bool harden) {
+  ServeOptions opt;
+  opt.harden = harden;
+  return serve_digest(spec, opt).reports;
 }
 
 TEST(ServeReports, WindowLinesMatchThePinAtAnyThreadCount) {
@@ -178,6 +190,33 @@ TEST(ServeReports, WindowLinesMatchThePinAtAnyThreadCount) {
   EXPECT_EQ(pin, read_file(pin_path))
       << "report lines drifted from " << pin_path
       << "; if intentional, regenerate with HEADROOM_UPDATE_GOLDENS=1";
+}
+
+TEST(ServeRetention, LongHardenedServeTurnsEverySeriesOver) {
+  // hot_cool_fleet observes one day, then serves five more under the
+  // default 2-day retention, hardened: both the fleet store and the
+  // delivered store evict every series through more than one full
+  // retention span. The closing counts and every report line (each
+  // carries the pool's rolling plan) are pinned, serial and threaded.
+  ParseResult parsed = load_scenario_file(
+      (fs::path(HEADROOM_SCENARIO_DIR) / "hot_cool_fleet.scn").string());
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  ServeOptions opt;
+  opt.harden = true;
+  opt.extra_days = 5;
+  const ServeDigest serial = serve_digest(parsed.spec, opt);
+  EXPECT_EQ(serial.reports,
+            "hot_cool_fleet harden lines=116643 fnv1a64=777bdb4065befd6e\n");
+  EXPECT_EQ(serial.resident_samples, 427977u);
+  EXPECT_EQ(serial.evicted_samples, 855063u);
+  EXPECT_GT(serial.evicted_samples, serial.resident_samples);
+
+  ScenarioSpec threaded = parsed.spec;
+  threaded.threads = 4;
+  const ServeDigest parallel = serve_digest(threaded, opt);
+  EXPECT_EQ(parallel.reports, serial.reports);
+  EXPECT_EQ(parallel.resident_samples, serial.resident_samples);
+  EXPECT_EQ(parallel.evicted_samples, serial.evicted_samples);
 }
 
 // --- Follow mode over a recorded trace --------------------------------------
