@@ -17,7 +17,7 @@ constexpr SimTime ceil_div(SimTime a, SimTime b) noexcept {
 }  // namespace
 
 void TimeSeries::append(SimTime window_start, double value) {
-  const std::size_t n = values_.size();
+  const std::size_t n = size();
   if (n > 0 && window_start <= last_time_) {
     throw std::invalid_argument("TimeSeries::append: out-of-order window");
   }
@@ -28,9 +28,15 @@ void TimeSeries::append(SimTime window_start, double value) {
       stride_ = window_start - start_;
     } else if (window_start != last_time_ + stride_) {
       // Cadence broke: materialize the explicit time column and fall back.
-      times_.reserve(std::max(values_.capacity(), n + 1));
-      for (std::size_t i = 0; i < n; ++i) {
-        times_.push_back(start_ + static_cast<SimTime>(i) * stride_);
+      // The column mirrors the value column index for index, evicted
+      // prefix included (those times extrapolate the stride backwards and
+      // are never read), so the append moves no value and spans survive.
+      const std::size_t total = values_.size();
+      times_.reserve(std::max(values_.capacity(), total + 1));
+      for (std::size_t i = 0; i < total; ++i) {
+        times_.push_back(start_ + (static_cast<SimTime>(i) -
+                                   static_cast<SimTime>(head_)) *
+                                      stride_);
       }
       times_.push_back(window_start);
     }
@@ -42,12 +48,21 @@ void TimeSeries::append(SimTime window_start, double value) {
 }
 
 void TimeSeries::reserve(std::size_t n) {
-  values_.reserve(n);
-  if (!times_.empty()) times_.reserve(n);
+  if (n > capacity()) compact();
+  values_.reserve(head_ + n);
+  if (!times_.empty()) times_.reserve(head_ + n);
+}
+
+void TimeSeries::compact() {
+  if (head_ == 0) return;
+  const auto dead = static_cast<std::ptrdiff_t>(head_);
+  values_.erase(values_.begin(), values_.begin() + dead);
+  if (!times_.empty()) times_.erase(times_.begin(), times_.begin() + dead);
+  head_ = 0;
 }
 
 WindowSample TimeSeries::at(std::size_t i) const {
-  if (i >= values_.size()) {
+  if (i >= size()) {
     throw std::out_of_range("TimeSeries::at: index out of range");
   }
   return {time_at(i), value_at(i)};
@@ -55,13 +70,14 @@ WindowSample TimeSeries::at(std::size_t i) const {
 
 std::pair<std::size_t, std::size_t> TimeSeries::index_range(SimTime from,
                                                             SimTime to) const {
-  const std::size_t n = values_.size();
+  const std::size_t n = size();
   if (n == 0 || to <= from) return {0, 0};
   if (!times_.empty()) {
-    const auto first = std::lower_bound(times_.begin(), times_.end(), from);
+    const auto live = times_.begin() + static_cast<std::ptrdiff_t>(head_);
+    const auto first = std::lower_bound(live, times_.end(), from);
     const auto last = std::lower_bound(first, times_.end(), to);
-    return {static_cast<std::size_t>(first - times_.begin()),
-            static_cast<std::size_t>(last - times_.begin())};
+    return {static_cast<std::size_t>(first - live),
+            static_cast<std::size_t>(last - live)};
   }
   if (stride_ <= 0) {  // single sample (or degenerate): test it directly
     return start_ >= from && start_ < to ? std::pair<std::size_t, std::size_t>{0, n}
@@ -91,31 +107,30 @@ SeriesView TimeSeries::slice(SimTime from, SimTime to) const {
   return {this, first, last - first};
 }
 
-SeriesView TimeSeries::view() const { return {this, 0, values_.size()}; }
+SeriesView TimeSeries::view() const { return {this, 0, size()}; }
 
 std::size_t TimeSeries::drop_front(std::size_t n) {
-  if (n == 0 || values_.empty()) return 0;
-  if (n >= values_.size()) {
-    const std::size_t dropped = values_.size();
+  const std::size_t live = size();
+  if (n == 0 || live == 0) return 0;
+  if (n >= live) {
     values_.clear();
     times_.clear();
+    head_ = 0;
     start_ = 0;
     stride_ = 0;
     last_time_ = 0;
-    return dropped;
+    return live;
   }
-  values_.erase(values_.begin(),
-                values_.begin() + static_cast<std::ptrdiff_t>(n));
+  head_ += n;
   if (times_.empty()) {
     start_ += static_cast<SimTime>(n) * stride_;
     // A single survivor re-establishes its cadence on the next append,
     // exactly like a freshly built one-sample series.
-    if (values_.size() == 1) stride_ = 0;
+    if (size() == 1) stride_ = 0;
   } else {
-    times_.erase(times_.begin(),
-                 times_.begin() + static_cast<std::ptrdiff_t>(n));
-    start_ = times_.front();
+    start_ = times_[head_];
   }
+  if (head_ * kCompactDivisor >= size()) compact();
   return n;
 }
 

@@ -16,6 +16,12 @@
 // extend the series past the view); a `values()` span additionally pins the
 // underlying array and is invalidated by any append that reallocates it
 // (appends within `reserve()`d capacity preserve it).
+//
+// Eviction (`drop_front`) is amortized O(1): it advances a head offset past
+// the dropped samples instead of erasing them, and compacts the dead prefix
+// out of the columns only once it reaches a fixed fraction of the live
+// size. A retention sweep that drops one sample per window therefore costs
+// a few element moves per sample, not a move of the whole resident series.
 #pragma once
 
 #include <cstdint>
@@ -42,12 +48,14 @@ class TimeSeries {
   void append(SimTime window_start, double value);
 
   /// Pre-allocates the value column (and the time column, when already in
-  /// explicit-time mode) for at least `n` total samples.
+  /// explicit-time mode) for at least `n` total samples. Growing past
+  /// capacity() first compacts away the evicted prefix.
   void reserve(std::size_t n);
-  /// Samples the value column can hold before reallocating (and
-  /// invalidating outstanding `values()` spans).
+  /// Samples the series can hold before an append reallocates (and
+  /// invalidates outstanding `values()` spans): the value column's
+  /// capacity less the evicted prefix still sitting at its front.
   [[nodiscard]] std::size_t capacity() const noexcept {
-    return values_.capacity();
+    return values_.capacity() - head_;
   }
   /// Heap bytes held by the columns (footprint gauge for the benches):
   /// 8 bytes/sample while stride-encoded, 16 after a fallback.
@@ -56,15 +64,17 @@ class TimeSeries {
            times_.capacity() * sizeof(SimTime);
   }
 
-  [[nodiscard]] std::size_t size() const noexcept { return values_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return values_.empty(); }
+  [[nodiscard]] std::size_t size() const noexcept {
+    return values_.size() - head_;
+  }
+  [[nodiscard]] bool empty() const noexcept { return values_.size() == head_; }
 
   [[nodiscard]] SimTime time_at(std::size_t i) const noexcept {
     return times_.empty() ? start_ + static_cast<SimTime>(i) * stride_
-                          : times_[i];
+                          : times_[head_ + i];
   }
   [[nodiscard]] double value_at(std::size_t i) const noexcept {
-    return values_[i];
+    return values_[head_ + i];
   }
   /// Bounds-checked sample materialization (by value: there is no stored
   /// WindowSample to reference).
@@ -83,7 +93,7 @@ class TimeSeries {
 
   /// All values, in time order — a zero-copy view over the value column.
   [[nodiscard]] std::span<const double> values() const noexcept {
-    return values_;
+    return std::span<const double>(values_).subspan(head_);
   }
   /// Values whose window start lies in [from, to) — a zero-copy sub-view.
   [[nodiscard]] std::span<const double> values_between(SimTime from,
@@ -97,8 +107,12 @@ class TimeSeries {
   /// returns how many were dropped. A stride-encoded series stays
   /// stride-encoded — the start advances by `n` strides — so retention
   /// eviction under a live feed keeps the 8-byte/sample representation.
-  /// Invalidates outstanding values() spans and SeriesViews (offsets
-  /// shift); capacity is retained for reuse by later appends.
+  /// Amortized O(n), independent of the resident length: the dropped
+  /// samples stay behind the head offset until the dead prefix reaches
+  /// 1/kCompactDivisor of the live size, and only then are the live
+  /// samples moved to the front. Invalidates outstanding values() spans
+  /// and SeriesViews (offsets shift); capacity is retained for reuse by
+  /// later appends.
   std::size_t drop_front(std::size_t n);
 
   /// Index of the first sample with window_start >= `bound` (== size()
@@ -106,13 +120,26 @@ class TimeSeries {
   [[nodiscard]] std::size_t first_index_at_or_after(SimTime bound) const;
 
  private:
+  /// drop_front compacts once the dead prefix reaches 1/kCompactDivisor of
+  /// the live samples. Each compaction moves the live samples once per
+  /// live/8 drops, so a dropped sample costs ~8 element moves however long
+  /// the series is (amortized O(1)); and the dead prefix never exceeds an
+  /// eighth of the live size, so memory stays flat under a steady
+  /// append-and-evict feed instead of spilling into untouched capacity.
+  static constexpr std::size_t kCompactDivisor = 8;
+
   /// [first, last) index range of samples with window_start in [from, to).
   [[nodiscard]] std::pair<std::size_t, std::size_t> index_range(
       SimTime from, SimTime to) const;
+  /// Moves the live samples to the front of the columns (head_ = 0).
+  void compact();
 
+  // Both columns hold the evicted prefix [0, head_) ahead of the live
+  // samples; every accessor indexes relative to head_.
   std::vector<double> values_;
   std::vector<SimTime> times_;  ///< Empty while stride-encoded.
-  SimTime start_ = 0;
+  std::size_t head_ = 0;        ///< Evicted samples not yet compacted away.
+  SimTime start_ = 0;           ///< First live window start.
   SimTime stride_ = 0;     ///< Established by the second append.
   SimTime last_time_ = 0;  ///< Cached time_at(size-1) for the append path.
 };

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <limits>
+#include <random>
+#include <span>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace headroom::telemetry {
@@ -369,6 +375,187 @@ TEST(TimeSeries, FirstIndexAtOrAfterOnIrregularSeries) {
   EXPECT_EQ(s.first_index_at_or_after(120), 1u);
   EXPECT_EQ(s.first_index_at_or_after(121), 2u);
   EXPECT_EQ(s.first_index_at_or_after(501), 3u);
+}
+
+// --- Differential test against a plain (time, value) vector -----------------
+
+/// The reference: the samples as plain pairs, plus the cadence state a
+/// TimeSeries must report (stride-encoded until a cadence break, reset by
+/// emptying; the stride is set by the second sample and forgotten when
+/// eviction leaves a single survivor).
+struct ReferenceSeries {
+  std::vector<std::pair<SimTime, double>> samples;
+  bool regular = true;
+  SimTime stride = 0;
+
+  void append(SimTime t, double v) {
+    if (samples.size() == 1 && regular) {
+      stride = t - samples[0].first;
+    } else if (samples.size() >= 2 && regular &&
+               t != samples.back().first + stride) {
+      regular = false;
+    }
+    samples.emplace_back(t, v);
+  }
+  std::size_t drop_front(std::size_t n) {
+    const std::size_t dropped = std::min(n, samples.size());
+    samples.erase(samples.begin(),
+                  samples.begin() + static_cast<std::ptrdiff_t>(dropped));
+    if (samples.empty()) {
+      regular = true;
+      stride = 0;
+    } else if (samples.size() == 1 && regular) {
+      stride = 0;
+    }
+    return dropped;
+  }
+  [[nodiscard]] std::vector<std::pair<SimTime, double>> between(
+      SimTime from, SimTime to) const {
+    std::vector<std::pair<SimTime, double>> out;
+    for (const auto& [t, v] : samples) {
+      if (t >= from && t < to) out.emplace_back(t, v);
+    }
+    return out;
+  }
+  [[nodiscard]] std::size_t first_at_or_after(SimTime bound) const {
+    std::size_t i = 0;
+    while (i < samples.size() && samples[i].first < bound) ++i;
+    return i;
+  }
+};
+
+/// Compares every accessor of `s` against the reference `ref`.
+void expect_same(const TimeSeries& s, const ReferenceSeries& ref,
+                 std::mt19937_64& rng, int step) {
+  SCOPED_TRACE("after operation " + std::to_string(step));
+  const std::size_t n = ref.samples.size();
+  ASSERT_EQ(s.size(), n);
+  ASSERT_EQ(s.empty(), n == 0);
+  EXPECT_EQ(s.regular(), ref.regular);
+  EXPECT_EQ(s.stride(), ref.regular ? ref.stride : 0);
+  EXPECT_EQ(s.start(), n == 0 ? 0 : ref.samples.front().first);
+  const std::span<const double> values = s.values();
+  ASSERT_EQ(values.size(), n);
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(s.time_at(i), ref.samples[i].first) << "index " << i;
+    ASSERT_EQ(s.value_at(i), ref.samples[i].second) << "index " << i;
+    ASSERT_EQ(values[i], ref.samples[i].second) << "index " << i;
+  }
+  // Query bounds: random ones around the resident span, sample times
+  // themselves, and the sentinels.
+  const SimTime lo = n == 0 ? 0 : ref.samples.front().first;
+  const SimTime hi = n == 0 ? 0 : ref.samples.back().first;
+  std::vector<SimTime> bounds{std::numeric_limits<SimTime>::min(),
+                              std::numeric_limits<SimTime>::max(), lo, hi,
+                              hi + 1, lo - 1};
+  for (int k = 0; k < 4; ++k) {
+    bounds.push_back(lo - 200 +
+                     static_cast<SimTime>(rng() % static_cast<std::uint64_t>(
+                                                     hi - lo + 400)));
+  }
+  for (const SimTime bound : bounds) {
+    EXPECT_EQ(s.first_index_at_or_after(bound), ref.first_at_or_after(bound))
+        << "bound " << bound;
+  }
+  for (std::size_t a = 0; a < bounds.size(); ++a) {
+    const SimTime from = bounds[a];
+    const SimTime to = bounds[(a + 3) % bounds.size()];
+    const auto expected = ref.between(from, to);
+    const std::span<const double> got = s.values_between(from, to);
+    const SeriesView view = s.slice(from, to);
+    ASSERT_EQ(got.size(), expected.size()) << "[" << from << ", " << to << ")";
+    ASSERT_EQ(view.size(), expected.size()) << "[" << from << ", " << to << ")";
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(got[i], expected[i].second);
+      EXPECT_EQ(view.time_at(i), expected[i].first);
+      EXPECT_EQ(view.value_at(i), expected[i].second);
+    }
+  }
+}
+
+/// Drives a seeded interleaving of appends, evictions and reserves through
+/// a TimeSeries and the reference, comparing them after every operation.
+/// With `break_cadence`, some appends land off the stride; the series is
+/// emptied now and then so later breaks hit a stride-encoded series again,
+/// and the run asserts that breaks landed on series with evictions behind
+/// them. Every append within capacity must also keep a values() span taken
+/// before it reading the same samples.
+void run_differential(std::uint64_t seed, bool break_cadence) {
+  std::mt19937_64 rng(seed);
+  TimeSeries s;
+  ReferenceSeries ref;
+  SimTime next = 1000;
+  bool dropped_since_empty = false;
+  int breaks_after_drops = 0;
+  for (int step = 0; step < 4000; ++step) {
+    const std::uint64_t op = rng() % 100;
+    if (op < 62) {
+      const bool off_stride = break_cadence && rng() % 25 == 0;
+      const SimTime t = off_stride ? next + 1 + static_cast<SimTime>(rng() % 300)
+                                   : next;
+      if (off_stride && ref.regular && ref.samples.size() >= 2 &&
+          dropped_since_empty) {
+        ++breaks_after_drops;
+      }
+      const double v = static_cast<double>(rng() % 100000) * 0.25;
+      const bool within_capacity = s.size() < s.capacity();
+      const std::span<const double> before = s.values();
+      s.append(t, v);
+      ref.append(t, v);
+      if (within_capacity) {
+        for (std::size_t i = 0; i < before.size(); ++i) {
+          ASSERT_EQ(before[i], ref.samples[i].second)
+              << "an append within capacity moved sample " << i;
+        }
+      }
+      next = t + 120;
+    } else if (op < 95) {
+      const std::size_t k = rng() % 30 == 0 ? ref.samples.size() + rng() % 3
+                                            : rng() % 4;
+      EXPECT_EQ(s.drop_front(k), ref.drop_front(k));
+      if (ref.samples.empty()) {
+        dropped_since_empty = false;
+      } else if (k > 0) {
+        dropped_since_empty = true;
+      }
+    } else {
+      const std::size_t want = s.size() + rng() % 64;
+      s.reserve(want);
+      EXPECT_GE(s.capacity(), want);
+    }
+    expect_same(s, ref, rng, step);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  if (break_cadence) {
+    EXPECT_GT(breaks_after_drops, 10);
+  }
+}
+
+TEST(TimeSeriesDifferential, StrideEncodedAppendsAndDrops) {
+  run_differential(41, /*break_cadence=*/false);
+}
+
+TEST(TimeSeriesDifferential, CadenceBreaksAfterDrops) {
+  run_differential(42, /*break_cadence=*/true);
+}
+
+TEST(TimeSeries, SteadyAppendAndEvictSettlesToAFixedFootprint) {
+  // One append and one eviction per window, the retention sweep's shape:
+  // the evicted prefix is compacted away before it grows the columns, so
+  // the footprint after 10 lookbacks equals the footprint after 100.
+  const std::size_t lookback = 720;
+  TimeSeries s;
+  SimTime t = 0;
+  for (std::size_t i = 0; i < lookback; ++i, t += 120) s.append(t, 1.0);
+  std::size_t at_10 = 0;
+  for (std::size_t w = 1; w <= 100 * lookback; ++w, t += 120) {
+    s.append(t, 1.0);
+    ASSERT_EQ(s.drop_front(1), 1u);
+    if (w == 10 * lookback) at_10 = s.memory_bytes();
+  }
+  EXPECT_EQ(s.size(), lookback);
+  EXPECT_TRUE(s.regular());
+  EXPECT_EQ(s.memory_bytes(), at_10);
 }
 
 }  // namespace
