@@ -1,7 +1,6 @@
 #include "core/rolling_plan.h"
 
 #include <algorithm>
-#include <vector>
 
 #include "stats/percentile.h"
 
@@ -21,6 +20,15 @@ void RollingPoolPlanner::add_window(double rps_per_server, double cpu_pct,
     ++untrusted_windows_;
     return;
   }
+  if (cpu_.size() == cpu_.lookback()) {
+    // The fits are about to evict their oldest point; its load leaves the
+    // sorted set with it.
+    sorted_rps_.erase(std::lower_bound(
+        sorted_rps_.begin(), sorted_rps_.end(), cpu_.points().front().x));
+  }
+  sorted_rps_.insert(
+      std::upper_bound(sorted_rps_.begin(), sorted_rps_.end(), rps_per_server),
+      rps_per_server);
   cpu_.add(rps_per_server, cpu_pct);
   latency_.add(rps_per_server, latency_p95_ms);
 }
@@ -32,10 +40,7 @@ PoolResponseModel RollingPoolPlanner::model() const {
 std::optional<HeadroomPlan> RollingPoolPlanner::plan(
     std::size_t current_servers) const {
   if (size() < min_windows_ || current_servers == 0) return std::nullopt;
-  std::vector<double> rps;
-  rps.reserve(size());
-  for (const stats::RollingOls::Point& p : cpu_.points()) rps.push_back(p.x);
-  const double p95 = stats::percentile(rps, 95.0);
+  const double p95 = stats::percentile_sorted(sorted_rps_, 95.0);
   return HeadroomOptimizer(policy_).plan(model(), p95, current_servers);
 }
 

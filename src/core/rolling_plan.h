@@ -5,11 +5,14 @@
 // would make a window cost O(history); this planner instead keeps the two
 // response curves in stats::RollingOls rings of the most recent windows —
 // the linear %CPU fit and the quadratic latency fit, both over RPS per
-// server — so add_window() is O(1) amortized and plan() assembles the
-// model in O(1) plus an exact P95 scan of the ring. Cost per window is
-// therefore flat in feed length: O(lookback), never O(history). What the
-// planner adds is its own: the healed-window discount, the P95 operating
-// point, and the call into HeadroomOptimizer.
+// server — plus the ring's loads in ascending order. add_window() folds a
+// window into the fits in O(1) amortized and moves one load in and one out
+// of the sorted set (a binary search and a memmove of at most lookback
+// doubles); plan() assembles the model in O(1) and reads the exact P95
+// straight off the sorted set in O(1). Cost per window is therefore flat
+// in feed length, never O(history). What the planner adds is its own: the
+// healed-window discount, the P95 operating point, and the call into
+// HeadroomOptimizer.
 //
 // The rolling fits are ordinary least squares (no RANSAC — robustness over
 // a short, recent window buys little and would cost a full refit); the
@@ -19,6 +22,7 @@
 
 #include <cstddef>
 #include <optional>
+#include <vector>
 
 #include "core/headroom_optimizer.h"
 #include "stats/rolling_ols.h"
@@ -39,7 +43,9 @@ class RollingPoolPlanner {
   RollingPoolPlanner(HeadroomPolicy policy, Options options);
 
   /// Folds one completed window into both fits, evicting the oldest
-  /// window once the ring is full. O(1) amortized. A window marked
+  /// window once the ring is full. Inputs must be finite (the sorted load
+  /// set relies on a total order); the health monitor quarantines
+  /// non-finite samples before they reach a planner. A window marked
   /// `healed` (gap-fill synthesized by the degradation layer, not observed
   /// telemetry) is discounted: counted in untrusted_windows() but never
   /// folded into the fits, so the rolling model only ever fits real data
@@ -73,6 +79,10 @@ class RollingPoolPlanner {
   std::size_t min_windows_;
   stats::RollingOls cpu_;      ///< (RPS per server, %CPU), fit linearly.
   stats::RollingOls latency_;  ///< (RPS per server, latency P95), quadratic.
+  /// The ring's RPS per server in ascending order: the P95 operating point
+  /// is percentile_sorted over it, bit-identical to stats::percentile over
+  /// the ring (the same two order statistics, the same interpolation).
+  std::vector<double> sorted_rps_;
   std::size_t untrusted_windows_ = 0;
 };
 

@@ -3,8 +3,9 @@
 // running-sum OLS recovers the generating curves exactly (and matches the
 // batch fitter on the same ring), eviction forgets the pre-lookback
 // regime, periodic rebuilds bound floating-point drift, plan() only
-// speaks once the ring holds enough windows to trust, and a seeded ring
-// pins every coefficient bit for bit.
+// speaks once the ring holds enough windows to trust, a seeded ring pins
+// every coefficient bit for bit, and the incrementally sorted P95 equals
+// a fresh percentile over the ring at every window.
 #include "core/rolling_plan.h"
 
 #include <gtest/gtest.h>
@@ -13,8 +14,10 @@
 #include <optional>
 #include <random>
 #include <stdexcept>
+#include <vector>
 
 #include "core/pool_model.h"
+#include "stats/percentile.h"
 #include "telemetry/time_series.h"
 
 namespace headroom::core {
@@ -191,6 +194,38 @@ TEST(RollingPoolPlanner, SeededRingPinsEveryCoefficient) {
   const std::optional<HeadroomPlan> plan = planner.plan(24);
   ASSERT_TRUE(plan.has_value());
   EXPECT_EQ(plan->recommended_servers, 17u);
+}
+
+TEST(RollingPoolPlanner, SortedP95MatchesAFreshPercentileEveryWindow) {
+  // The planner keeps the ring's loads sorted incrementally; at every
+  // window its anchor must equal stats::percentile over the ring's points,
+  // bit for bit. Loads repeat (a coarse grid), healed windows are offered
+  // and skipped, and the ring turns over more than twice, so eviction
+  // removes duplicates and the sorted set must drop exactly one copy.
+  const std::size_t lookback = 48;
+  RollingPoolPlanner planner(test_policy(), small_ring(lookback, 4));
+  stats::RollingOls ring(lookback);  // the ring, for its points()
+  std::mt19937_64 rng(34);
+  std::size_t planned = 0;
+  for (int i = 0; i < 200; ++i) {
+    const double rps = 60.0 + 7.5 * static_cast<double>(rng() % 24);
+    const bool healed = rng() % 9 == 0;
+    planner.add_window(rps, cpu_curve(rps), latency_curve(rps), healed);
+    if (!healed) ring.add(rps, 0.0);
+    ASSERT_EQ(planner.size(), ring.size());
+    const std::optional<HeadroomPlan> plan = planner.plan(24);
+    if (!plan) continue;
+    ++planned;
+    std::vector<double> loads;
+    for (const stats::RollingOls::Point& p : ring.points()) {
+      loads.push_back(p.x);
+    }
+    EXPECT_EQ(plan->anchor_rps_per_server, stats::percentile(loads, 95.0))
+        << "window " << i;
+  }
+  EXPECT_GT(planner.untrusted_windows(), 0u);
+  EXPECT_GT(200 - planner.untrusted_windows(), 2 * lookback);
+  EXPECT_GT(planned, 2 * lookback);
 }
 
 TEST(RollingPoolPlanner, SlackLatencyMeansAReductionPlan) {
