@@ -154,6 +154,24 @@ void emit_window_reports(const telemetry::MetricStore& store,
   return true;
 }
 
+/// The source store's series in canonical key order, kept across windows.
+/// Series are never erased outside MetricStore::clear(), so an unchanged
+/// series_count() means an unchanged key set, and the cached series stay
+/// valid (map nodes are stable).
+struct SourceIndex {
+  std::vector<telemetry::SeriesKey> keys;
+  std::vector<const telemetry::TimeSeries*> series;
+
+  void refresh(const telemetry::MetricStore& source) {
+    if (keys.size() == source.series_count()) return;
+    keys = source.keys();
+    series.clear();
+    for (const telemetry::SeriesKey& key : keys) {
+      series.push_back(&source.series(key));
+    }
+  }
+};
+
 /// Routes one grid window of true samples from `source` through the fault
 /// injector into the health monitor, which sanitizes and writes the
 /// delivered store. Pool-scope samples take the fault surface; server-scope
@@ -161,16 +179,18 @@ void emit_window_reports(const telemetry::MetricStore& store,
 /// pool aggregation pipeline, and the monitor's grid accounting is per
 /// pool. Keys are walked in the store's canonical sorted order, so the
 /// delivery stream is deterministic at any thread count.
-void deliver_window(const telemetry::MetricStore& source, SimTime t,
-                    FaultInjector& injector, core::HealthMonitor& monitor,
+void deliver_window(const telemetry::MetricStore& source, SourceIndex& index,
+                    SimTime t, FaultInjector& injector,
+                    core::HealthMonitor& monitor,
                     telemetry::MetricStore& delivered) {
-  const std::vector<telemetry::SeriesKey> keys = source.keys();
+  index.refresh(source);
+  const std::vector<telemetry::SeriesKey>& keys = index.keys;
   std::vector<DeliveredSample> samples;
   std::size_t i = 0;
   while (i < keys.size()) {
     if (keys[i].server != telemetry::SeriesKey::kPoolScope) {
       double v = 0.0;
-      if (sample_at(source.series(keys[i]), t, &v)) {
+      if (sample_at(*index.series[i], t, &v)) {
         delivered.record(keys[i], t, v);
       }
       ++i;
@@ -183,7 +203,7 @@ void deliver_window(const telemetry::MetricStore& source, SimTime t,
            keys[i].pool == pool &&
            keys[i].server == telemetry::SeriesKey::kPoolScope) {
       double v = 0.0;
-      if (sample_at(source.series(keys[i]), t, &v)) {
+      if (sample_at(*index.series[i], t, &v)) {
         samples.push_back({keys[i], t, v});
       }
       ++i;
@@ -435,6 +455,7 @@ ServeResult ServeRunner::serve(const ScenarioSpec& spec,
       health_monitor ? &*health_monitor : nullptr;
   const telemetry::MetricStore& read_store =
       health_active ? delivered : fleet.store();
+  SourceIndex source_index;
 
   // One feed window: step the fleet, route the window through the health
   // layer when it is active, and report every pool.
@@ -442,7 +463,8 @@ ServeResult ServeRunner::serve(const ScenarioSpec& spec,
     const SimTime t = fleet.now();
     fleet.run_until(t + window);
     if (health != nullptr) {
-      deliver_window(fleet.store(), t, *injector, *health, delivered);
+      deliver_window(fleet.store(), source_index, t, *injector, *health,
+                     delivered);
       health->advance(t + window);
     }
     ++out.windows;
