@@ -6,8 +6,10 @@
 // sample ever seen. Serve mode's RollingPoolPlanner maintains the two
 // response curves from running sums over a bounded ring, making the
 // re-plan O(lookback) — flat in feed length. This bench measures both
-// paths at increasing history depths, plus the third leg of the story:
-// resident telemetry bytes under rolling retention vs keep-everything.
+// paths at increasing history depths, plus the rest of the story: resident
+// telemetry bytes under rolling retention vs keep-everything, and the
+// per-window cost of recording into a full retention window, which must
+// not grow with the retention length (eviction is amortized O(1)).
 //
 // Writes BENCH_serve_incremental.json (machine-readable trajectory data;
 // CI uploads it as an artifact).
@@ -44,6 +46,20 @@ constexpr SimTime kWindowSeconds = 120;
 constexpr std::size_t kWindowsPerDay = 86400 / kWindowSeconds;  // 720
 constexpr std::size_t kLookback = kWindowsPerDay;  // serve's default ring
 constexpr std::size_t kProbes = 50;  // replans timed per depth point
+// Retention-cost probe: windows timed per repetition (eight days, so the
+// 16-day store compacts its evicted prefix several times) and repetitions
+// (the median is reported).
+constexpr std::size_t kRecordWindows = 8 * kWindowsPerDay;
+constexpr std::size_t kRecordReps = 5;
+
+/// Serve's pool-scope series for one pool.
+const std::vector<MetricKind>& pool_kinds() {
+  static const std::vector<MetricKind> kinds{
+      MetricKind::kRequestsPerSecond, MetricKind::kCpuPercentAttributed,
+      MetricKind::kCpuPercentTotal, MetricKind::kLatencyP95Ms,
+      MetricKind::kActiveServers};
+  return kinds;
+}
 
 /// Deterministic diurnal feed: per-server RPS wave plus the linear CPU and
 /// quadratic latency responses the planner fits, with a small wobble so
@@ -85,6 +101,32 @@ HeadroomPlan full_recompute_plan(const AlignedPair& rps_vs_cpu,
       PoolResponseModel::fit(rps_vs_cpu, rps_vs_latency);
   const double p95 = headroom::stats::percentile(rps_vs_cpu.x, 95.0);
   return HeadroomOptimizer(policy()).plan(model, p95, servers);
+}
+
+/// Median per-window cost, in ns, of recording one pool's five series
+/// into a store whose `retention_days` window is already full, so every
+/// window also evicts one sample from each series.
+double record_ns_per_window(std::size_t retention_days) {
+  MetricStore store;
+  store.set_retention(static_cast<SimTime>(retention_days) * 86400);
+  std::size_t w = 0;
+  const auto record_window = [&] {
+    const SimTime t = static_cast<SimTime>(w) * kWindowSeconds;
+    const FeedPoint f = feed_at(w++);
+    for (const MetricKind kind : pool_kinds()) {
+      store.record({0, 0, SeriesKey::kPoolScope, kind}, t, f.rps);
+    }
+  };
+  while (w < (retention_days + 1) * kWindowsPerDay) record_window();
+  std::vector<double> reps;
+  for (std::size_t rep = 0; rep < kRecordReps; ++rep) {
+    const Clock::time_point start = Clock::now();
+    for (std::size_t i = 0; i < kRecordWindows; ++i) record_window();
+    reps.push_back(seconds_since(start) * 1e9 /
+                   static_cast<double>(kRecordWindows));
+  }
+  std::sort(reps.begin(), reps.end());
+  return reps[reps.size() / 2];
 }
 
 }  // namespace
@@ -170,10 +212,7 @@ int main() {
   // The serve shape: one pool's five pool-scope series fed for 30 days,
   // with and without the default 2-day retention.
   const std::size_t feed_days = 30;
-  const std::vector<MetricKind> kinds{
-      MetricKind::kRequestsPerSecond, MetricKind::kCpuPercentAttributed,
-      MetricKind::kCpuPercentTotal, MetricKind::kLatencyP95Ms,
-      MetricKind::kActiveServers};
+  const std::vector<MetricKind>& kinds = pool_kinds();
   MetricStore unbounded;
   MetricStore rolling_store;
   rolling_store.set_retention(2 * 86400);
@@ -203,15 +242,32 @@ int main() {
   bench::note("footprint reduction " +
               std::to_string(footprint_reduction * 100.0) + "%");
 
+  bench::header(
+      "Continuous mode — per-window record cost vs retention length",
+      "the retention sweep evicts one sample per series per window; its "
+      "cost must not grow with how much history is retained");
+  const double record_ns_2d = record_ns_per_window(2);
+  const double record_ns_16d = record_ns_per_window(16);
+  const double retention_ratio = record_ns_16d / record_ns_2d;
+  std::printf(
+      "  %zu series, full retention: 2-day %.0f ns/window, 16-day %.0f "
+      "ns/window, ratio %.2fx\n",
+      kinds.size(), record_ns_2d, record_ns_16d, retention_ratio);
+
   // Acceptance: the rolling re-plan is flat in history (30-day cost within
-  // 3x of 1-day — same ring, only noise differs) and beats the refit.
+  // 3x of 1-day — same ring, only noise differs) and beats the refit, and
+  // recording into a 16-day retention window costs within 3x of a 2-day
+  // one (an eviction that moved the resident series would cost ~8x).
   const bool flat = rolling_us_last <= rolling_us_first * 3.0;
   const bool faster = speedup_last > 10.0;
   const bool bounded =
       rolling_store.sample_count() < unbounded.sample_count() / 10;
-  std::printf("\n  acceptance: flat=%s faster=%s bounded=%s\n",
-              flat ? "yes" : "NO", faster ? "yes" : "NO",
-              bounded ? "yes" : "NO");
+  const bool retention_flat = retention_ratio <= 3.0;
+  const bool pass = flat && faster && bounded && retention_flat;
+  std::printf(
+      "\n  acceptance: flat=%s faster=%s bounded=%s retention_flat=%s\n",
+      flat ? "yes" : "NO", faster ? "yes" : "NO", bounded ? "yes" : "NO",
+      retention_flat ? "yes" : "NO");
 
   headroom::bench::JsonObject json;
   json.str("bench", "serve_incremental")
@@ -226,11 +282,14 @@ int main() {
       .num("retained_bytes", rolling_bytes)
       .num("evicted_samples", rolling_store.evicted_samples())
       .num("footprint_reduction_pct", footprint_reduction * 100.0)
-      .boolean("acceptance", flat && faster && bounded);
+      .num("record_ns_per_window_2d_retention", record_ns_2d)
+      .num("record_ns_per_window_16d_retention", record_ns_16d)
+      .num("retention_cost_ratio", retention_ratio)
+      .boolean("acceptance", pass);
   if (json.write("BENCH_serve_incremental.json")) {
     bench::note("wrote BENCH_serve_incremental.json");
   } else {
     bench::note("WARNING: could not write BENCH_serve_incremental.json");
   }
-  return (flat && faster && bounded) ? 0 : 1;
+  return pass ? 0 : 1;
 }
