@@ -110,9 +110,12 @@ class MetricStore {
   /// after each append batch, samples whose window start falls before
   /// (newest window seen − lookback) are evicted, so resident memory is
   /// O(lookback) under an endless feed instead of O(history). Evicted
-  /// samples are dropped and counted (evicted_samples()). 0 disables (the
-  /// default — batch runs keep full history; golden outputs depend on it).
-  /// Eviction invalidates outstanding values() spans and SeriesViews.
+  /// samples are dropped and counted (evicted_samples()). A sweep visits
+  /// every series, and TimeSeries::drop_front is amortized O(1) per
+  /// evicted sample, so a window's sweep costs O(series) however long the
+  /// lookback. 0 disables (the default — batch runs keep full history;
+  /// golden outputs depend on it). Eviction invalidates outstanding
+  /// values() spans and SeriesViews.
   void set_retention(SimTime lookback_seconds);
   [[nodiscard]] SimTime retention() const noexcept { return retention_; }
   /// Samples evicted by the retention sweep since construction/clear().
