@@ -54,7 +54,6 @@ void TimeSeries::reserve(std::size_t n) {
 }
 
 void TimeSeries::compact() {
-  if (head_ == 0) return;
   const auto dead = static_cast<std::ptrdiff_t>(head_);
   values_.erase(values_.begin(), values_.begin() + dead);
   if (!times_.empty()) times_.erase(times_.begin(), times_.begin() + dead);
