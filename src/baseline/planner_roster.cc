@@ -1,157 +1,20 @@
 #include "baseline/planner_roster.h"
 
-#include <algorithm>
-#include <cmath>
-#include <stdexcept>
+#include "baseline/prediction_scaling.h"
+#include "baseline/queueing_planner.h"
+#include "baseline/reactive_autoscaler.h"
+#include "baseline/right_sizing.h"
+#include "baseline/throughput_probing.h"
 
 namespace headroom::baseline {
 
-namespace {
-
-/// Exponential P95 is -ln(0.05) ~= 3.0 service times; the warm-latency
-/// floor (the latency fit's zero-load value) read backwards through that
-/// relationship is the queueing model's "measured" service time.
-constexpr double kExpP95Factor = 2.9957322735539909;
-
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// QueueingWindowPlanner
-
-QueueingWindowPlanner::QueueingWindowPlanner(QueueingWindowOptions options)
-    : options_(options) {}
-
-void QueueingWindowPlanner::start(const core::PlannerContext& context,
-                                  std::size_t initial_serving) {
-  context_ = context;
-  peak_rps_ = 0.0;
-  (void)initial_serving;
-
-  QueueingPlannerOptions qopt;
-  qopt.concurrency_per_server = options_.concurrency_per_server;
-  qopt.max_utilization = options_.max_utilization;
-  qopt.service_time_ms = options_.service_time_ms;
-  if (qopt.service_time_ms <= 0.0) {
-    // Auto-calibrate from the surface's warm floor. This is the planner's
-    // stale belief, fixed at start: the floor includes cold-start and
-    // constant overheads the M/M/c structure does not model, which is the
-    // mis-sizing the bake-off is designed to expose.
-    qopt.service_time_ms =
-        context.model != nullptr
-            ? context.model->predict_latency_ms(0.0) / kExpP95Factor
-            : 5.0;
-  }
-  // Keep the belief satisfiable: a service P95 above the SLO would make
-  // every plan() search run off to infinity.
-  const double ceiling = context.latency_slo_ms * 0.9 / kExpP95Factor;
-  qopt.service_time_ms = std::clamp(qopt.service_time_ms, 0.1,
-                                    std::max(0.1, ceiling));
-  planner_ = std::make_unique<QueueingPlanner>(qopt);
-}
-
-std::size_t QueueingWindowPlanner::plan_window(
-    const core::PlannerWindow& window) {
-  peak_rps_ = std::max(peak_rps_, window.total_rps);
-  if (peak_rps_ <= 0.0) {
-    return static_cast<std::size_t>(window.serving);
-  }
-  // Plan for the running peak — the white-box posture: size once for the
-  // worst observed load, never release.
-  return planner_->plan(peak_rps_, core::LatencySlo{context_.latency_slo_ms})
-      .servers;
-}
-
-// ---------------------------------------------------------------------------
-// ReactiveWindowPlanner
-
-ReactiveWindowPlanner::ReactiveWindowPlanner(ReactiveWindowOptions options)
-    : options_(options) {}
-
-void ReactiveWindowPlanner::start(const core::PlannerContext& context,
-                                  std::size_t initial_serving) {
-  context_ = context;
-  serving_ = initial_serving;
-  committed_target_ = initial_serving;
-  pending_.clear();
-  index_ = 0;
-
-  AutoscalerOptions opt = options_.autoscaler;
-  // CPU response straight from the surface's linear fit.
-  opt.cpu_per_rps = std::max(context.model->cpu_fit().slope, 1e-9);
-  opt.cpu_base = std::max(context.model->cpu_fit().intercept, 0.0);
-
-  // Operating point: the per-server CPU where the surface's latency curve
-  // crosses the SLO, found by scanning per-server load up to CPU
-  // saturation (the quadratic is not monotone out-of-range, so scan).
-  const double rps_at_saturation =
-      (core::kSaturationCpuPct - opt.cpu_base) / opt.cpu_per_rps;
-  double cpu_slo = core::kSaturationCpuPct;
-  constexpr int kSteps = 512;
-  for (int i = 1; i <= kSteps; ++i) {
-    const double r = rps_at_saturation * static_cast<double>(i) /
-                     static_cast<double>(kSteps);
-    if (context.model->predict_latency_ms(r) > context.latency_slo_ms) {
-      cpu_slo = context.model->predict_cpu_pct(
-          rps_at_saturation * static_cast<double>(i - 1) /
-          static_cast<double>(kSteps));
-      break;
-    }
-  }
-  const double span = std::max(cpu_slo - opt.cpu_base, 1.0);
-  opt.cpu_slo_pct = cpu_slo;
-  opt.target_cpu_pct = opt.cpu_base + options_.target_fraction * span;
-  opt.scale_out_threshold = opt.cpu_base + options_.scale_out_fraction * span;
-  opt.scale_in_threshold = opt.cpu_base + options_.scale_in_fraction * span;
-  opt.min_servers = std::max<std::size_t>(1, context.min_servers);
-  opt.max_servers = std::max(opt.min_servers, context.pool_size);
-  scaler_ = std::make_unique<ReactiveAutoscaler>(opt);
-
-  decide_every_ = static_cast<std::size_t>(
-      std::max<telemetry::SimTime>(1, opt.control_interval_s /
-                                          context.window_seconds));
-}
-
-std::size_t ReactiveWindowPlanner::plan_window(
-    const core::PlannerWindow& window) {
-  const AutoscalerOptions& opt = scaler_->options();
-  if (index_ % decide_every_ == 0) {
-    const std::size_t target =
-        scaler_->decide(window.total_rps, window.cpu_pct, committed_target_);
-    if (target != committed_target_) {
-      const telemetry::SimTime lag = target > committed_target_
-                                         ? opt.provision_lag_s
-                                         : opt.drain_lag_s;
-      const auto lag_windows = static_cast<std::size_t>(
-          (lag + context_.window_seconds - 1) / context_.window_seconds);
-      pending_.emplace_back(index_ + 1 + lag_windows, target);
-      committed_target_ = target;
-    }
-  }
-  // Capacity changes whose provisioning/draining lag has elapsed start
-  // serving with the next window (which this return value controls).
-  std::erase_if(pending_, [&](const auto& p) {
-    if (p.first <= index_ + 1) {
-      serving_ = p.second;
-      return true;
-    }
-    return false;
-  });
-  ++index_;
-  return serving_;
-}
-
-// ---------------------------------------------------------------------------
-
-std::vector<std::unique_ptr<core::CapacityPlanner>> default_roster(
-    const RosterOptions& options) {
+std::vector<std::unique_ptr<core::CapacityPlanner>> default_roster() {
   std::vector<std::unique_ptr<core::CapacityPlanner>> roster;
-  roster.push_back(std::make_unique<QueueingWindowPlanner>(options.queueing));
-  roster.push_back(std::make_unique<ReactiveWindowPlanner>(options.reactive));
-  roster.push_back(
-      std::make_unique<PredictionScalingPlanner>(options.prediction));
-  roster.push_back(std::make_unique<RightSizingPlanner>(options.right_sizing));
-  roster.push_back(
-      std::make_unique<ThroughputProbingPlanner>(options.probing));
+  roster.push_back(std::make_unique<QueueingPlanner>());
+  roster.push_back(std::make_unique<ReactiveAutoscaler>());
+  roster.push_back(std::make_unique<PredictionScalingPlanner>());
+  roster.push_back(std::make_unique<RightSizingPlanner>());
+  roster.push_back(std::make_unique<ThroughputProbingPlanner>());
   return roster;
 }
 

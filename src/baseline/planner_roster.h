@@ -1,101 +1,22 @@
-// The bake-off roster: every baseline policy adapted to the common
-// core::CapacityPlanner plan-per-window contract.
-//
-// The two pre-existing planners keep their own decision logic and gain
-// thin window adapters:
-//  - QueueingWindowPlanner re-plans the M/M/c sizing each window for the
-//    running peak demand. Its service time is, deliberately, a *belief*:
-//    auto-calibrated once from the response surface's warm-latency floor
-//    (or pinned by hand), never refit — the paper's stale-white-box-model
-//    argument as a tournament entrant.
-//  - ReactiveWindowPlanner drives the exact ReactiveAutoscaler::decide()
-//    control law, CPU thresholds derived from the surface, provisioning
-//    lag modeled by delaying when a decision's capacity starts serving.
-// The three new policies (prediction_scaling.h, right_sizing.h,
-// throughput_probing.h) implement the interface natively.
+// The bake-off roster: every baseline policy as a core::CapacityPlanner
+// with its default options, in fixed frontier order. Each entrant derives
+// whatever it needs to know about the pool from the planner context in
+// start(): the queueing model calibrates its service-time belief from the
+// surface's warm floor, and the reactive autoscaler takes its CPU model
+// and thresholds from the surface's fits.
 #pragma once
 
 #include <memory>
 #include <vector>
 
-#include "baseline/prediction_scaling.h"
-#include "baseline/queueing_planner.h"
-#include "baseline/reactive_autoscaler.h"
-#include "baseline/right_sizing.h"
-#include "baseline/throughput_probing.h"
 #include "core/capacity_planner.h"
 
 namespace headroom::baseline {
-
-struct QueueingWindowOptions {
-  /// <= 0 auto-calibrates from the surface's warm-latency floor (the
-  /// latency-fit intercept read as an exponential service P95).
-  double service_time_ms = 0.0;
-  double concurrency_per_server = 16.0;
-  double max_utilization = 0.85;
-};
-
-class QueueingWindowPlanner final : public core::CapacityPlanner {
- public:
-  explicit QueueingWindowPlanner(QueueingWindowOptions options = {});
-
-  [[nodiscard]] std::string name() const override { return "queueing"; }
-  void start(const core::PlannerContext& context,
-             std::size_t initial_serving) override;
-  [[nodiscard]] std::size_t plan_window(
-      const core::PlannerWindow& window) override;
-
- private:
-  QueueingWindowOptions options_;
-  core::PlannerContext context_;
-  std::unique_ptr<QueueingPlanner> planner_;
-  double peak_rps_ = 0.0;
-};
-
-struct ReactiveWindowOptions {
-  AutoscalerOptions autoscaler;  ///< CPU model/thresholds overwritten by
-                                 ///< start() from the response surface.
-  /// Fraction of the surface-implied SLO operating CPU to hold as target.
-  double target_fraction = 0.80;
-  double scale_out_fraction = 0.90;
-  double scale_in_fraction = 0.55;
-};
-
-class ReactiveWindowPlanner final : public core::CapacityPlanner {
- public:
-  explicit ReactiveWindowPlanner(ReactiveWindowOptions options = {});
-
-  [[nodiscard]] std::string name() const override { return "reactive"; }
-  void start(const core::PlannerContext& context,
-             std::size_t initial_serving) override;
-  [[nodiscard]] std::size_t plan_window(
-      const core::PlannerWindow& window) override;
-
- private:
-  ReactiveWindowOptions options_;
-  core::PlannerContext context_;
-  std::unique_ptr<ReactiveAutoscaler> scaler_;
-  std::size_t committed_target_ = 0;
-  std::size_t serving_ = 0;
-  /// Decisions whose capacity has not finished provisioning/draining:
-  /// (window index at which it starts serving, target).
-  std::vector<std::pair<std::size_t, std::size_t>> pending_;
-  std::size_t index_ = 0;
-  std::size_t decide_every_ = 1;
-};
-
-struct RosterOptions {
-  QueueingWindowOptions queueing;
-  ReactiveWindowOptions reactive;
-  PredictionScalingOptions prediction;
-  RightSizingOptions right_sizing;
-  ThroughputProbingOptions probing;
-};
 
 /// The five baseline entrants in fixed frontier order: queueing, reactive,
 /// prediction_ml, right_sizing, probing. The harness prepends the RSM
 /// entrant itself.
 [[nodiscard]] std::vector<std::unique_ptr<core::CapacityPlanner>>
-default_roster(const RosterOptions& options = {});
+default_roster();
 
 }  // namespace headroom::baseline

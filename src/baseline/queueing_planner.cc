@@ -1,11 +1,21 @@
 #include "baseline/queueing_planner.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
 #include "baseline/queueing.h"
 
 namespace headroom::baseline {
+
+namespace {
+
+/// Exponential P95 is -ln(0.05) ~= 3.0 service times; the warm-latency
+/// floor (the latency fit's zero-load value) read backwards through that
+/// relationship is the queueing model's "measured" service time.
+constexpr double kExpP95Factor = 2.9957322735539909;
+
+}  // namespace
 
 QueueingPlanner::QueueingPlanner(QueueingPlannerOptions options)
     : options_(options) {
@@ -16,6 +26,28 @@ QueueingPlanner::QueueingPlanner(QueueingPlannerOptions options)
     throw std::invalid_argument(
         "QueueingPlanner: max_utilization must be in (0, 1]");
   }
+}
+
+void QueueingPlanner::start(const core::PlannerContext& context,
+                            std::size_t /*initial_serving*/) {
+  slo_ = core::LatencySlo{context.latency_slo_ms};
+  peak_rps_ = 0.0;
+  // The planner's stale belief, fixed at start: the floor includes
+  // cold-start and constant overheads the M/M/c structure does not model,
+  // which is the mis-sizing the bake-off is designed to expose.
+  const double belief = context.model->predict_latency_ms(0.0) / kExpP95Factor;
+  // Keep the belief satisfiable: a service P95 above the SLO would make
+  // every plan() search run off to infinity.
+  const double ceiling = context.latency_slo_ms * 0.9 / kExpP95Factor;
+  options_.service_time_ms = std::clamp(belief, 0.1, std::max(0.1, ceiling));
+}
+
+std::size_t QueueingPlanner::plan_window(const core::PlannerWindow& window) {
+  peak_rps_ = std::max(peak_rps_, window.total_rps);
+  if (peak_rps_ <= 0.0) {
+    return static_cast<std::size_t>(window.serving);
+  }
+  return plan(peak_rps_, slo_).servers;
 }
 
 std::size_t QueueingPlanner::effective_servers(std::size_t servers) const {

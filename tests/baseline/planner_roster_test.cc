@@ -1,59 +1,25 @@
-// Unit coverage for the bake-off roster: the three native planners
-// (prediction-augmented scaling, switching-cost right-sizing, throughput
-// probing) and the window adapters around the pre-existing queueing and
-// reactive baselines. All tests run against a synthetic response surface
-// with closed-form inverses so expected serving counts are exact.
+// Unit coverage for the bake-off roster: its frontier order, and the three
+// planners written for the bake-off (prediction-augmented scaling,
+// switching-cost right-sizing, throughput probing). The queueing and
+// reactive entrants are covered in their own planners' suites. All tests
+// run against the synthetic surface of planner_test_surface.h.
 #include "baseline/planner_roster.h"
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
-#include <vector>
 
-#include "core/capacity_planner.h"
+#include "baseline/prediction_scaling.h"
+#include "baseline/right_sizing.h"
+#include "baseline/throughput_probing.h"
+#include "planner_test_surface.h"
 
 namespace headroom::baseline {
 namespace {
 
-// latency(r) = 5 + 0.0005 r^2 ms, cpu(r) = 0.08 r + 2 %. With the 50 ms
-// SLO and the planners' default 1 ms margin, per-server load must stay at
-// or below sqrt(44 / 0.0005) ~= 296.6 rps: 900 total rps needs 4 servers,
-// 1800 needs 7, 100 needs 1.
-core::PoolResponseModel test_surface() {
-  stats::LinearFit cpu;
-  cpu.slope = 0.08;
-  cpu.intercept = 2.0;
-  cpu.r_squared = 1.0;
-  cpu.n = 100;
-  stats::PolynomialFit latency;
-  latency.coeffs = {5.0, 0.0, 0.0005};
-  latency.r_squared = 1.0;
-  latency.n = 100;
-  return core::PoolResponseModel::from_fits(cpu, latency);
-}
-
-core::PlannerContext test_context(const core::PoolResponseModel* model,
-                                  std::size_t pool_size = 32) {
-  core::PlannerContext ctx;
-  ctx.model = model;
-  ctx.latency_slo_ms = 50.0;
-  ctx.pool_size = pool_size;
-  ctx.min_servers = 1;
-  ctx.window_seconds = 120;
-  return ctx;
-}
-
-core::PlannerWindow make_window(std::size_t index, double total_rps,
-                                double latency_ms = 0.0,
-                                double cpu_pct = 0.0) {
-  core::PlannerWindow w;
-  w.start = static_cast<telemetry::SimTime>(index) * 120;
-  w.seconds = 120;
-  w.total_rps = total_rps;
-  w.latency_p95_ms = latency_ms;
-  w.cpu_pct = cpu_pct;
-  return w;
-}
+using planner_test::make_window;
+using planner_test::test_context;
+using planner_test::test_surface;
 
 // ---------------------------------------------------------------------------
 // PredictionScalingPlanner
@@ -242,90 +208,6 @@ TEST(Probing, ProactivelyStepsUpNearTheSlo) {
   // get burned.
   EXPECT_EQ(planner.plan_window(make_window(0, 900.0, 48.0)), 10u);
   EXPECT_EQ(planner.plan_window(make_window(1, 900.0, 48.0)), 11u);
-}
-
-// ---------------------------------------------------------------------------
-// Window adapters
-
-TEST(QueueingWindow, PlansForTheRunningPeakAndNeverReleases) {
-  const core::PoolResponseModel surface = test_surface();
-  QueueingWindowPlanner planner;
-  EXPECT_EQ(planner.name(), "queueing");
-
-  planner.start(test_context(&surface), 4);
-  const std::size_t at_spike = planner.plan_window(make_window(0, 5000.0));
-  EXPECT_GE(at_spike, 1u);
-  // Demand collapses; the white-box plan stays sized for the peak.
-  EXPECT_EQ(planner.plan_window(make_window(1, 100.0)), at_spike);
-  EXPECT_EQ(planner.plan_window(make_window(2, 0.0)), at_spike);
-}
-
-TEST(QueueingWindow, ZeroDemandKeepsTheCurrentServing) {
-  const core::PoolResponseModel surface = test_surface();
-  QueueingWindowPlanner planner;
-  planner.start(test_context(&surface), 4);
-  core::PlannerWindow w = make_window(0, 0.0);
-  w.serving = 6.0;
-  EXPECT_EQ(planner.plan_window(w), 6u);
-}
-
-TEST(QueueingWindow, AutoCalibrationMatchesAnExplicitServiceTime) {
-  // The auto path reads the surface's warm floor (5 ms) as an exponential
-  // P95 -> service time 5 / 2.9957... ms; pinning that same number by hand
-  // must produce identical plans.
-  const core::PoolResponseModel surface = test_surface();
-  QueueingWindowPlanner auto_cal;
-  QueueingWindowOptions pinned_opt;
-  pinned_opt.service_time_ms = 5.0 / 2.9957322735539909;
-  QueueingWindowPlanner pinned(pinned_opt);
-
-  auto_cal.start(test_context(&surface), 4);
-  pinned.start(test_context(&surface), 4);
-  for (std::size_t i = 0; i < 4; ++i) {
-    const double rps = 500.0 * static_cast<double>(i + 1);
-    EXPECT_EQ(auto_cal.plan_window(make_window(i, rps)),
-              pinned.plan_window(make_window(i, rps)))
-        << rps;
-  }
-}
-
-TEST(ReactiveWindow, ScalesOutUnderSustainedHighCpuAfterTheLag) {
-  const core::PoolResponseModel surface = test_surface();
-  ReactiveWindowPlanner planner;
-  EXPECT_EQ(planner.name(), "reactive");
-
-  core::PlannerContext ctx = test_context(&surface, /*pool_size=*/64);
-  planner.start(ctx, 8);
-  // Hot windows: measured CPU far above the surface-derived scale-out
-  // threshold. The decision is immediate (control interval == window) but
-  // provisioned capacity arrives only after the provisioning lag
-  // (1800 s = 15 windows), so early windows still serve 8.
-  std::size_t serving = 8;
-  std::vector<std::size_t> path;
-  for (std::size_t i = 0; i < 20; ++i) {
-    serving = planner.plan_window(make_window(i, 6000.0, 20.0, 90.0));
-    path.push_back(serving);
-  }
-  EXPECT_EQ(path.front(), 8u);
-  EXPECT_GT(path.back(), 8u);
-  // Nothing lands before the lag has elapsed.
-  for (std::size_t i = 0; i + 1 < 15; ++i) {
-    EXPECT_EQ(path[i], 8u) << i;
-  }
-}
-
-TEST(ReactiveWindow, IdleCpuScalesInWithoutBreachingTheFloor) {
-  const core::PoolResponseModel surface = test_surface();
-  ReactiveWindowPlanner planner;
-  core::PlannerContext ctx = test_context(&surface, /*pool_size=*/64);
-  ctx.min_servers = 2;
-  planner.start(ctx, 16);
-  std::size_t serving = 16;
-  for (std::size_t i = 0; i < 60; ++i) {
-    serving = planner.plan_window(make_window(i, 50.0, 5.5, 2.5));
-  }
-  EXPECT_LT(serving, 16u);
-  EXPECT_GE(serving, 2u);
 }
 
 TEST(DefaultRoster, FixedFrontierOrder) {

@@ -2,8 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include "planner_test_surface.h"
+
 namespace headroom::baseline {
 namespace {
+
+using planner_test::make_window;
+using planner_test::test_context;
+using planner_test::test_surface;
+
+/// -ln(0.05): the exponential P95 in service times.
+constexpr double kExpP95Factor = 2.9957322735539909;
 
 QueueingPlannerOptions default_options() {
   QueueingPlannerOptions opt;
@@ -164,6 +173,52 @@ TEST(QueueingPlanner, PredictRejectsZeroServers) {
   const QueueingPlanner planner(default_options());
   EXPECT_THROW((void)planner.predict_p95_latency_ms(100.0, 0),
                std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// The bake-off entrant
+
+TEST(QueueingPlanner, PlansForTheRunningPeakAndNeverReleases) {
+  const core::PoolResponseModel surface = test_surface();
+  QueueingPlanner planner;
+  EXPECT_EQ(planner.name(), "queueing");
+
+  planner.start(test_context(&surface), 4);
+  const std::size_t at_spike = planner.plan_window(make_window(0, 5000.0));
+  EXPECT_GE(at_spike, 1u);
+  // Demand collapses; the white-box plan stays sized for the peak.
+  EXPECT_EQ(planner.plan_window(make_window(1, 100.0)), at_spike);
+  EXPECT_EQ(planner.plan_window(make_window(2, 0.0)), at_spike);
+}
+
+TEST(QueueingPlanner, ZeroDemandKeepsTheCurrentServing) {
+  const core::PoolResponseModel surface = test_surface();
+  QueueingPlanner planner;
+  planner.start(test_context(&surface), 4);
+  core::PlannerWindow w = make_window(0, 0.0);
+  w.serving = 6.0;
+  EXPECT_EQ(planner.plan_window(w), 6u);
+}
+
+TEST(QueueingPlanner, AutoCalibrationMatchesAnExplicitServiceTime) {
+  // start() reads the surface's warm floor (5 ms) as an exponential P95
+  // -> service time 5 / 2.9957... ms; a planner constructed with that same
+  // number by hand must produce identical plans.
+  const core::PoolResponseModel surface = test_surface();
+  QueueingPlanner auto_cal;
+  QueueingPlannerOptions pinned_opt;
+  pinned_opt.service_time_ms = 5.0 / kExpP95Factor;
+  const QueueingPlanner pinned(pinned_opt);
+
+  auto_cal.start(test_context(&surface), 4);
+  EXPECT_DOUBLE_EQ(auto_cal.options().service_time_ms,
+                   pinned_opt.service_time_ms);
+  for (std::size_t i = 0; i < 4; ++i) {
+    const double rps = 500.0 * static_cast<double>(i + 1);
+    EXPECT_EQ(auto_cal.plan_window(make_window(i, rps)),
+              pinned.plan(rps, core::LatencySlo{50.0}).servers)
+        << rps;
+  }
 }
 
 }  // namespace

@@ -4,10 +4,16 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <vector>
+
+#include "planner_test_surface.h"
 
 namespace headroom::baseline {
 namespace {
 
+using planner_test::make_window;
+using planner_test::test_context;
+using planner_test::test_surface;
 using telemetry::SimTime;
 using telemetry::TimeSeries;
 
@@ -228,6 +234,48 @@ TEST(ReactiveAutoscaler, ServerSecondsIntegratesCapacity) {
   const AutoscalerRun run = scaler.replay(trace, 10);
   EXPECT_NEAR(run.total_seconds, 1200.0, 1e-9);
   EXPECT_GE(run.server_seconds, 10.0 * 1200.0 * 0.5);
+}
+
+// ---------------------------------------------------------------------------
+// The bake-off entrant: CPU model and thresholds from the response surface
+
+TEST(ReactiveAutoscaler, ScalesOutUnderSustainedHighCpuAfterTheLag) {
+  const core::PoolResponseModel surface = test_surface();
+  ReactiveAutoscaler planner;
+  EXPECT_EQ(planner.name(), "reactive");
+
+  core::PlannerContext ctx = test_context(&surface, /*pool_size=*/64);
+  planner.start(ctx, 8);
+  // Hot windows: measured CPU far above the surface-derived scale-out
+  // threshold. The decision is immediate (control interval == window) but
+  // provisioned capacity arrives only after the provisioning lag
+  // (1800 s = 15 windows), so early windows still serve 8.
+  std::size_t serving = 8;
+  std::vector<std::size_t> path;
+  for (std::size_t i = 0; i < 20; ++i) {
+    serving = planner.plan_window(make_window(i, 6000.0, 20.0, 90.0));
+    path.push_back(serving);
+  }
+  EXPECT_EQ(path.front(), 8u);
+  EXPECT_GT(path.back(), 8u);
+  // Nothing lands before the lag has elapsed.
+  for (std::size_t i = 0; i + 1 < 15; ++i) {
+    EXPECT_EQ(path[i], 8u) << i;
+  }
+}
+
+TEST(ReactiveAutoscaler, IdleCpuScalesInWithoutBreachingTheFloor) {
+  const core::PoolResponseModel surface = test_surface();
+  ReactiveAutoscaler planner;
+  core::PlannerContext ctx = test_context(&surface, /*pool_size=*/64);
+  ctx.min_servers = 2;
+  planner.start(ctx, 16);
+  std::size_t serving = 16;
+  for (std::size_t i = 0; i < 60; ++i) {
+    serving = planner.plan_window(make_window(i, 50.0, 5.5, 2.5));
+  }
+  EXPECT_LT(serving, 16u);
+  EXPECT_GE(serving, 2u);
 }
 
 }  // namespace
