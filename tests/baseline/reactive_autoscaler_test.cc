@@ -278,5 +278,30 @@ TEST(ReactiveAutoscaler, IdleCpuScalesInWithoutBreachingTheFloor) {
   EXPECT_GE(serving, 2u);
 }
 
+// Regression: pending capacity changes used to be applied in the order they
+// came due, so a short drain decided after a long scale-out landed first and
+// the scale-out then overwrote it — the pool ended up serving a target that
+// had already been replaced. Changes now land in decision order.
+TEST(ReactiveAutoscaler, ChangesLandInTheOrderTheyWereDecided) {
+  const core::PoolResponseModel surface = test_surface();
+  ReactiveAutoscaler planner;
+  planner.start(test_context(&surface, /*pool_size=*/64), 16);
+  // Hot window: 16 -> 20 (damped +25%), landing after the 15-window
+  // provisioning lag.
+  EXPECT_EQ(planner.plan_window(make_window(0, 6000.0, 20.0, 90.0)), 16u);
+  // Idle window: 20 -> 15 (damped -25%); its 3-window drain lag elapses
+  // long before the scale-out lands.
+  EXPECT_EQ(planner.plan_window(make_window(1, 50.0, 5.5, 2.5)), 16u);
+  // CPU inside the [scale_in, scale_out] band from here on: no new
+  // decisions, so the pool must settle on the last committed target.
+  std::vector<std::size_t> path;
+  for (std::size_t i = 2; i < 30; ++i) {
+    path.push_back(planner.plan_window(make_window(i, 1000.0, 20.0, 18.0)));
+  }
+  // Both changes land together once the earlier one is due (window 15).
+  for (std::size_t i = 2; i < 15; ++i) EXPECT_EQ(path[i - 2], 16u) << i;
+  for (std::size_t i = 15; i < 30; ++i) EXPECT_EQ(path[i - 2], 15u) << i;
+}
+
 }  // namespace
 }  // namespace headroom::baseline
