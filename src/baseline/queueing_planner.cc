@@ -30,6 +30,9 @@ QueueingPlanner::QueueingPlanner(QueueingPlannerOptions options)
 
 void QueueingPlanner::start(const core::PlannerContext& context,
                             std::size_t /*initial_serving*/) {
+  if (context.model == nullptr) {
+    throw std::invalid_argument("QueueingPlanner::start: null response model");
+  }
   slo_ = core::LatencySlo{context.latency_slo_ms};
   peak_rps_ = 0.0;
   // The planner's stale belief, fixed at start: the floor includes

@@ -66,6 +66,10 @@ std::size_t ReactiveAutoscaler::decide(double total_rps, double cpu_pct,
 
 void ReactiveAutoscaler::start(const core::PlannerContext& context,
                                std::size_t initial_serving) {
+  if (context.model == nullptr) {
+    throw std::invalid_argument(
+        "ReactiveAutoscaler::start: null response model");
+  }
   // Every value set here satisfies the constructor's checks by
   // construction: the slope is floored positive, the span is at least 1 so
   // the thresholds are ordered above cpu_base, and min_servers >= 1.

@@ -102,7 +102,7 @@ class ReactiveAutoscaler final : public core::CapacityPlanner {
   /// violation line cpu_slo_pct from where its latency curve crosses the
   /// SLO; the target, scale-out and scale-in thresholds sit at cpu_base +
   /// {0.80, 0.90, 0.55} x (cpu_slo_pct - cpu_base). Server bounds come from
-  /// the context.
+  /// the context. Throws std::invalid_argument on a null context.model.
   void start(const core::PlannerContext& context,
              std::size_t initial_serving) override;
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "planner_test_surface.h"
 
 namespace headroom::baseline {
@@ -219,6 +221,11 @@ TEST(QueueingPlanner, AutoCalibrationMatchesAnExplicitServiceTime) {
               pinned.plan(rps, core::LatencySlo{50.0}).servers)
         << rps;
   }
+}
+
+TEST(QueueingPlanner, StartRejectsANullModel) {
+  QueueingPlanner planner;
+  EXPECT_THROW(planner.start(test_context(nullptr), 4), std::invalid_argument);
 }
 
 }  // namespace

@@ -303,5 +303,10 @@ TEST(ReactiveAutoscaler, ChangesLandInTheOrderTheyWereDecided) {
   for (std::size_t i = 15; i < 30; ++i) EXPECT_EQ(path[i - 2], 15u) << i;
 }
 
+TEST(ReactiveAutoscaler, StartRejectsANullModel) {
+  ReactiveAutoscaler planner;
+  EXPECT_THROW(planner.start(test_context(nullptr), 4), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace headroom::baseline
