@@ -223,6 +223,18 @@ TEST(QueueingPlanner, AutoCalibrationMatchesAnExplicitServiceTime) {
   }
 }
 
+TEST(QueueingPlanner, StartClampsAWarmFloorAboveTheSlo) {
+  // A 48 ms warm floor against the 50 ms SLO would believe a service P95 of
+  // 48 ms; the belief is capped at a P95 of 0.9 x SLO = 45 ms so plan()
+  // stays satisfiable.
+  const core::PoolResponseModel surface = test_surface(48.0);
+  QueueingPlanner planner;
+  planner.start(test_context(&surface), 4);
+  EXPECT_DOUBLE_EQ(planner.options().service_time_ms,
+                   0.9 * 50.0 / kExpP95Factor);
+  EXPECT_GE(planner.plan_window(make_window(0, 900.0)), 1u);
+}
+
 TEST(QueueingPlanner, StartRejectsANullModel) {
   QueueingPlanner planner;
   EXPECT_THROW(planner.start(test_context(nullptr), 4), std::invalid_argument);

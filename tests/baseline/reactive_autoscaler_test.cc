@@ -303,6 +303,27 @@ TEST(ReactiveAutoscaler, ChangesLandInTheOrderTheyWereDecided) {
   for (std::size_t i = 15; i < 30; ++i) EXPECT_EQ(path[i - 2], 15u) << i;
 }
 
+TEST(ReactiveAutoscaler, StartDerivesThresholdsFromTheSurface) {
+  // Closed form on the test surface: latency 5 + 0.0005 r^2 reaches the
+  // 50 ms SLO at r = 300 rps per server, where CPU = 0.08 * 300 + 2 = 26 %.
+  // The scan walks (95 - 2) / 0.08 / 512 rps per step, 0.1816 % CPU, and
+  // reports the last step at or under the SLO.
+  const core::PoolResponseModel surface = test_surface();
+  ReactiveAutoscaler planner;
+  planner.start(test_context(&surface), 4);
+  const AutoscalerOptions& opt = planner.options();
+  EXPECT_DOUBLE_EQ(opt.cpu_per_rps, 0.08);
+  EXPECT_DOUBLE_EQ(opt.cpu_base, 2.0);
+  EXPECT_LE(opt.cpu_slo_pct, 26.0);
+  EXPECT_GT(opt.cpu_slo_pct, 26.0 - 0.19);
+  const double span = opt.cpu_slo_pct - opt.cpu_base;
+  EXPECT_DOUBLE_EQ(opt.target_cpu_pct, 2.0 + 0.80 * span);
+  EXPECT_DOUBLE_EQ(opt.scale_out_threshold, 2.0 + 0.90 * span);
+  EXPECT_DOUBLE_EQ(opt.scale_in_threshold, 2.0 + 0.55 * span);
+  EXPECT_EQ(opt.min_servers, 1u);
+  EXPECT_EQ(opt.max_servers, 32u);
+}
+
 TEST(ReactiveAutoscaler, StartRejectsANullModel) {
   ReactiveAutoscaler planner;
   EXPECT_THROW(planner.start(test_context(nullptr), 4), std::invalid_argument);
