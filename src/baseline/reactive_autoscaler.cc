@@ -25,6 +25,9 @@ ReactiveAutoscaler::ReactiveAutoscaler(AutoscalerOptions options)
   if (options_.control_interval_s <= 0) {
     throw std::invalid_argument("ReactiveAutoscaler: bad control interval");
   }
+  if (options_.provision_lag_s < 0 || options_.drain_lag_s < 0) {
+    throw std::invalid_argument("ReactiveAutoscaler: negative lag");
+  }
   if (options_.max_step_fraction <= 0.0 || options_.max_step_fraction >= 1.0) {
     throw std::invalid_argument(
         "ReactiveAutoscaler: max_step_fraction must be in (0, 1)");

@@ -37,7 +37,7 @@ struct AutoscalerOptions {
   double scale_in_threshold = 35.0;
   /// Seconds between a scale-out decision and the capacity serving traffic
   /// (VM allocation + state load + JIT + cache priming). Both lags are
-  /// rounded up to whole windows.
+  /// rounded up to whole windows and must be non-negative.
   telemetry::SimTime provision_lag_s = 1800;
   /// Seconds a scale-in takes to drain.
   telemetry::SimTime drain_lag_s = 300;

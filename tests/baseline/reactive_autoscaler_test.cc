@@ -54,6 +54,9 @@ TEST(ReactiveAutoscaler, RejectsBadOptions) {
   bad = default_options();
   bad.cpu_per_rps = 0.0;
   EXPECT_THROW(ReactiveAutoscaler{bad}, std::invalid_argument);
+  bad = default_options();
+  bad.drain_lag_s = -120;
+  EXPECT_THROW(ReactiveAutoscaler{bad}, std::invalid_argument);
 }
 
 // Regression: target_cpu_pct <= cpu_base used to slip through construction
