@@ -5,7 +5,11 @@
 //    encryption change plausibly shifts it);
 //  - the reactive autoscaler, whose provisioning lag cannot absorb a
 //    failover-sized spike (and whose diurnal chase still needs headroom).
+// Exits 1 unless the reactive rows show that argument: SLO-violating time
+// never falls as the provisioning lag grows, and the 30-minute lag violates
+// for longer than instant provisioning.
 #include <cstdio>
+#include <vector>
 
 #include "baseline/queueing_planner.h"
 #include "baseline/reactive_autoscaler.h"
@@ -108,6 +112,7 @@ int main() {
   aopt.cpu_base = 1.37;
   aopt.cpu_slo_pct = 17.0;  // CPU proxy of the 32.8 ms latency SLO
 
+  std::vector<double> violating_s;
   for (const telemetry::SimTime lag : {0L, 1800L, 7200L}) {
     baseline::AutoscalerOptions lag_opt = aopt;
     lag_opt.provision_lag_s = lag;
@@ -118,8 +123,19 @@ int main() {
         "%.0f s (%.2f%%)\n",
         static_cast<long long>(lag), run.mean_serving(), run.peak_serving,
         run.violation_seconds, run.violation_fraction() * 100.0);
+    violating_s.push_back(run.violation_seconds);
   }
   bench::note("static right-sized plan holds the spike with zero violations "
               "by construction (headroom is provisioned, not chased)");
+
+  bool ok = violating_s[1] > violating_s[0];
+  for (std::size_t i = 1; i < violating_s.size(); ++i) {
+    ok = ok && violating_s[i] >= violating_s[i - 1];
+  }
+  if (!ok) {
+    std::printf("  FAIL: reactive SLO-violating time must not fall as the "
+                "provisioning lag grows, and lag 1800 s must exceed lag 0\n");
+    return 1;
+  }
   return 0;
 }
