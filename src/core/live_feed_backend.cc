@@ -136,14 +136,7 @@ std::optional<ExperimentObservations> LiveFeedBackend::try_observe(
 ExperimentObservations LiveFeedBackend::observe(SimTime duration) {
   std::optional<ExperimentObservations> ready = try_observe(duration);
   if (ready) return *std::move(ready);
-  const Span span = span_for(duration);
-  if (!options_.sealed && pump_) {
-    while (pump_(span.to)) {
-      ready = try_observe(duration);
-      if (ready) return *std::move(ready);
-    }
-  }
-  exhausted(span);
+  exhausted(span_for(duration));
 }
 
 }  // namespace headroom::core

@@ -7,7 +7,7 @@
 // a sealed recording (a re-ingested CSV trace — replay semantics: reading
 // past the end throws) or a live feed that another component appends to
 // window-by-window (serve mode: reading past the end is merely *pending*,
-// reported through try_observe() or satisfied by pumping the feed).
+// reported through try_observe(); the caller appends more and retries).
 //
 // Observations come from observations_between() — the same single
 // definition of "an observation" the simulator backend uses — so a replayed
@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 
 #include "core/experiment_backend.h"
@@ -25,7 +26,7 @@ namespace headroom::core {
 
 class HealthMonitor;
 
-class LiveFeedBackend : public PoolExperimentBackend {
+class LiveFeedBackend final : public PoolExperimentBackend {
  public:
   struct Options {
     std::uint32_t datacenter = 0;
@@ -37,8 +38,8 @@ class LiveFeedBackend : public PoolExperimentBackend {
     /// A sealed feed is a complete recording: it must already hold the
     /// pool's workload series, and observe() or try_observe() past its end
     /// throws. A live feed treats missing windows as not-yet-arrived:
-    /// try_observe() reports pending and observe() asks the pump to extend
-    /// the feed.
+    /// try_observe() reports pending, and blocking observe() throws "feed
+    /// exhausted" (nothing can append while it waits).
     bool sealed = false;
     /// Validate set_serving_count() against the recorded active-servers
     /// column at the cursor (replay-divergence detection). Feeds whose
@@ -49,11 +50,6 @@ class LiveFeedBackend : public PoolExperimentBackend {
     std::string label = "LiveFeedBackend";
   };
 
-  /// Asked to extend the feed so it covers windows up to `needed_end`
-  /// (exclusive). Returns false when the feed cannot grow any further —
-  /// observe() then throws. Only consulted by blocking observe() on a
-  /// live (non-sealed) feed.
-  using Pump = std::function<bool(telemetry::SimTime needed_end)>;
   /// Notified after a serving-count change is adopted — the live-feed
   /// analogue of the simulator applying the experiment control variable.
   using ServingHook = std::function<void(std::size_t servers)>;
@@ -81,9 +77,9 @@ class LiveFeedBackend : public PoolExperimentBackend {
   /// fleet steps whole windows and overshoots a non-multiple horizon
   /// (run_until), so the observed span is ceil(duration / window) windows
   /// and the cursor lands on the next window boundary. When the feed does
-  /// not yet cover the span: a sealed feed throws std::runtime_error
-  /// ("trace exhausted"); a live feed pumps until it does, and throws only
-  /// when no pump is attached or the pump reports the feed closed.
+  /// not yet cover the span it throws std::runtime_error: "trace
+  /// exhausted" on a sealed feed, "feed exhausted" on a live one (whose
+  /// callers use try_observe() instead).
   ExperimentObservations observe(telemetry::SimTime duration) override;
 
   /// Non-blocking observe: on a live feed, std::nullopt (cursor untouched,
@@ -93,7 +89,6 @@ class LiveFeedBackend : public PoolExperimentBackend {
   std::optional<ExperimentObservations> try_observe(
       telemetry::SimTime duration) override;
 
-  void set_pump(Pump pump) { pump_ = std::move(pump); }
   void set_serving_hook(ServingHook hook) { serving_hook_ = std::move(hook); }
 
   /// Attaches the degradation layer's monitor (must outlive the backend).
@@ -115,9 +110,6 @@ class LiveFeedBackend : public PoolExperimentBackend {
   /// is appended to.
   [[nodiscard]] telemetry::SimTime feed_end() const;
 
- protected:
-  [[nodiscard]] const Options& options() const noexcept { return options_; }
-
  private:
   /// Cursor-aligned span of `expected` whole windows ending at `to`.
   struct Span {
@@ -136,7 +128,6 @@ class LiveFeedBackend : public PoolExperimentBackend {
 
   const telemetry::MetricStore* store_;
   Options options_;
-  Pump pump_;
   ServingHook serving_hook_;
   const HealthMonitor* monitor_ = nullptr;
   std::size_t healed_observed_ = 0;

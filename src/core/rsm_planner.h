@@ -146,8 +146,8 @@ class RsmPlanner {
   /// every window through the incremental path. The backend is left at the
   /// recommended serving count. Throws std::runtime_error if the backend
   /// reports pending data (batch optimize needs a backend that can always
-  /// complete an observation — the simulator, a sealed trace, or a live
-  /// feed with a pump).
+  /// complete an observation — the simulator or a sealed trace; a live
+  /// feed is driven through RsmSession instead).
   [[nodiscard]] RsmResult optimize(PoolExperimentBackend& backend) const;
 
   [[nodiscard]] const RsmOptions& options() const noexcept { return options_; }

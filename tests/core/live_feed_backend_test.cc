@@ -1,8 +1,8 @@
 // LiveFeedBackend: the append-only-store backend behind both trace replay
 // (sealed) and continuous serve mode (live). The contract under test:
 // observe() walks the simulator's stepping grid, try_observe() reports
-// pending without moving the cursor, a pump can extend a live feed inside
-// a blocking observe(), and serving-count changes validate against the
+// pending without moving the cursor, a blocking observe() past the end of
+// a live feed throws, and serving-count changes validate against the
 // recorded active-servers column only when asked to.
 #include "core/live_feed_backend.h"
 
@@ -161,32 +161,6 @@ TEST(LiveFeedBackend, LiveFeedWithoutPumpThrowsFeedExhausted) {
     EXPECT_NE(what.find("feed exhausted"), std::string::npos) << what;
     EXPECT_NE(what.find("feed ends at t=240"), std::string::npos) << what;
   }
-}
-
-TEST(LiveFeedBackend, PumpExtendsTheFeedInsideBlockingObserve) {
-  MetricStore store;
-  LiveFeedBackend backend(&store, live_options());
-  std::vector<SimTime> asked;
-  backend.set_pump([&](SimTime needed_end) {
-    asked.push_back(needed_end);
-    // Grow one window per call, like a simulator stepping on demand.
-    append_windows(&store, backend.feed_end() == 0 ? 0 : backend.feed_end(),
-                   1);
-    return true;
-  });
-  const ExperimentObservations obs = backend.observe(3 * kWindow);
-  EXPECT_EQ(obs.total_rps.size(), 3u);
-  ASSERT_GE(asked.size(), 3u);
-  EXPECT_EQ(asked.front(), 3 * kWindow);  // always the span it still needs
-}
-
-TEST(LiveFeedBackend, ClosedPumpMeansExhausted) {
-  MetricStore store;
-  append_windows(&store, 0, 1);
-  LiveFeedBackend backend(&store, live_options());
-  backend.set_pump([](SimTime) { return false; });  // feed closed
-  EXPECT_THROW(backend.observe(2 * kWindow), std::runtime_error);
-  EXPECT_EQ(backend.cursor(), 0);
 }
 
 TEST(LiveFeedBackend, ServingChangesRangeCheckAndNotifyHook) {
