@@ -286,14 +286,11 @@ class CsvTailReader {
   }
 
  private:
-  [[noreturn]] void fail(const std::string& message) const {
-    throw std::runtime_error(path_ + ":" + std::to_string(line_no_) + ": " +
-                             message);
-  }
-
   void consume_line(const std::string& line, std::size_t* rows) {
     if (keys_.empty()) {
-      parse_header(line);
+      const std::string problem = telemetry::parse_pool_csv_header(
+          line, path_, line_no_, datacenter_, pool_, &keys_);
+      if (!problem.empty()) throw std::runtime_error(problem);
       return;
     }
     if (line.empty()) return;  // tolerate blank lines, like read_pool_csv
@@ -320,26 +317,6 @@ class CsvTailReader {
       monitor_->ingest(keys_[c], t, row_values_[c]);
     }
     ++*rows;
-  }
-
-  void parse_header(const std::string& line) {
-    const std::vector<std::string> header =
-        telemetry::split_csv_fields(line, ',');
-    if (header.empty() || header[0] != "window_start") {
-      fail("bad header: first column must be 'window_start', got '" +
-           (header.empty() ? "" : header[0]) + "'");
-    }
-    if (header.size() < 2) fail("bad header: no metric columns");
-    for (std::size_t c = 1; c < header.size(); ++c) {
-      const auto kind = telemetry::metric_from_string(header[c]);
-      if (!kind) fail("unknown metric column '" + header[c] + "'");
-      const telemetry::SeriesKey key{datacenter_, pool_,
-                                     telemetry::SeriesKey::kPoolScope, *kind};
-      if (std::find(keys_.begin(), keys_.end(), key) != keys_.end()) {
-        fail("duplicate metric column '" + header[c] + "'");
-      }
-      keys_.push_back(key);
-    }
   }
 
   std::string path_;

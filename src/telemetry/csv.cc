@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <exception>
+#include <utility>
 #include <vector>
 
 namespace headroom::telemetry {
@@ -185,6 +186,37 @@ std::size_t write_pool_csv(std::ostream& out, const MetricStore& store,
   return series.size();
 }
 
+std::string parse_pool_csv_header(const std::string& line,
+                                  std::string_view source, std::size_t line_no,
+                                  std::uint32_t datacenter, std::uint32_t pool,
+                                  std::vector<SeriesKey>* keys) {
+  const std::vector<std::string> header = split_csv_fields(line);
+  if (header.empty() || header[0] != "window_start") {
+    return line_error(source, line_no,
+                      "bad header: first column must be 'window_start', got '" +
+                          (header.empty() ? "" : header[0]) + "'");
+  }
+  if (header.size() < 2) {
+    return line_error(source, line_no, "bad header: no metric columns");
+  }
+  std::vector<SeriesKey> parsed;
+  for (std::size_t c = 1; c < header.size(); ++c) {
+    const auto kind = metric_from_string(header[c]);
+    if (!kind) {
+      return line_error(source, line_no,
+                        "unknown metric column '" + header[c] + "'");
+    }
+    const SeriesKey key{datacenter, pool, SeriesKey::kPoolScope, *kind};
+    if (std::find(parsed.begin(), parsed.end(), key) != parsed.end()) {
+      return line_error(source, line_no,
+                        "duplicate metric column '" + header[c] + "'");
+    }
+    parsed.push_back(key);
+  }
+  *keys = std::move(parsed);
+  return "";
+}
+
 CsvReadResult read_pool_csv(std::istream& in, std::string_view source,
                             MetricStore* store, std::uint32_t datacenter,
                             std::uint32_t pool) {
@@ -200,36 +232,12 @@ CsvReadResult read_pool_csv(std::istream& in, std::string_view source,
     result.error = std::string(source) + ": empty file (missing header)";
     return result;
   }
-  const std::vector<std::string> header = split_csv_fields(line);
-  if (header.empty() || header[0] != "window_start") {
-    result.error = line_error(source, line_no,
-                              "bad header: first column must be "
-                              "'window_start', got '" +
-                                  (header.empty() ? "" : header[0]) + "'");
-    return result;
-  }
-  if (header.size() < 2) {
-    result.error =
-        line_error(source, line_no, "bad header: no metric columns");
-    return result;
-  }
   std::vector<SeriesKey> keys;
-  for (std::size_t c = 1; c < header.size(); ++c) {
-    const auto kind = metric_from_string(header[c]);
-    if (!kind) {
-      result.error = line_error(
-          source, line_no, "unknown metric column '" + header[c] + "'");
-      return result;
-    }
-    const SeriesKey key{datacenter, pool, SeriesKey::kPoolScope, *kind};
-    if (std::find(keys.begin(), keys.end(), key) != keys.end()) {
-      result.error = line_error(
-          source, line_no, "duplicate metric column '" + header[c] + "'");
-      return result;
-    }
-    keys.push_back(key);
-    result.columns.push_back(*kind);
-  }
+  result.error = parse_pool_csv_header(line, source, line_no, datacenter,
+                                       pool, &keys);
+  if (!result.ok()) return result;
+  for (const SeriesKey& key : keys) result.columns.push_back(key.metric);
+  const std::size_t field_count = keys.size() + 1;
 
   MetricBuffer buffer;
   buffer.reserve(kIngestBatchRows * keys.size());
@@ -239,10 +247,10 @@ CsvReadResult read_pool_csv(std::istream& in, std::string_view source,
     ++line_no;
     if (line.empty()) continue;  // tolerate a trailing blank line
     const std::vector<std::string> fields = split_csv_fields(line);
-    if (fields.size() != header.size()) {
+    if (fields.size() != field_count) {
       result.error = line_error(
           source, line_no,
-          "expected " + std::to_string(header.size()) + " fields, got " +
+          "expected " + std::to_string(field_count) + " fields, got " +
               std::to_string(fields.size()));
       return result;
     }

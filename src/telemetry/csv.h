@@ -17,6 +17,7 @@
 #include <ostream>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "telemetry/metric_store.h"
@@ -74,6 +75,17 @@ struct CsvReadResult {
 
   [[nodiscard]] bool ok() const noexcept { return error.empty(); }
 };
+
+/// Checks a pool CSV header line: `window_start` first, then at least one
+/// metric column, each a known metric named once. On success sets `keys`
+/// to each metric column's pool-scope key of (datacenter, pool), in header
+/// order, and returns ""; otherwise returns a `source:line: message`
+/// diagnostic and leaves `keys` untouched. read_pool_csv and
+/// serve's follow-mode tailer both check headers with it.
+[[nodiscard]] std::string parse_pool_csv_header(
+    const std::string& line, std::string_view source, std::size_t line_no,
+    std::uint32_t datacenter, std::uint32_t pool,
+    std::vector<SeriesKey>* keys);
 
 /// Reads a pool CSV (the write_pool_csv format) back into `store` under the
 /// pool-scope keys of (datacenter, pool). The header is validated against
