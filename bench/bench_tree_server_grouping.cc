@@ -8,6 +8,7 @@
 #include "bench_util.h"
 #include "core/server_grouper.h"
 #include "ml/cross_validation.h"
+#include "ml/decision_tree.h"
 #include "sim/fleet.h"
 
 namespace {

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "ml/dataset.h"
-#include "ml/decision_tree.h"
 #include "ml/kmeans.h"
 #include "sim/fleet.h"
 #include "stats/linear_model.h"

@@ -256,18 +256,12 @@ class Parser {
     } else if (key == "steps") {
       std::uint8_t steps = 0;
       for (const std::string& item : split_list(value, ',')) {
-        if (item == "measure") {
-          steps |= step_bit(PipelineStep::kMeasure);
-        } else if (item == "optimize") {
-          steps |= step_bit(PipelineStep::kOptimize);
-        } else if (item == "model") {
-          steps |= step_bit(PipelineStep::kModel);
-        } else if (item == "validate") {
-          steps |= step_bit(PipelineStep::kValidate);
-        } else {
+        const auto step = pipeline_step_from_string(item);
+        if (!step) {
           return fail("unknown step '" + item +
                       "' (expected measure, optimize, model, validate)");
         }
+        steps |= step_bit(*step);
       }
       if (steps == 0) {
         return fail("steps must be a non-empty comma list of "
@@ -299,16 +293,12 @@ class Parser {
   void fleet_key(const std::string& key, const std::string& value) {
     section_name_ = "[fleet]";
     if (key == "kind") {
-      if (value == "single_pool") {
-        spec_.fleet = FleetKind::kSinglePool;
-      } else if (value == "multi_dc") {
-        spec_.fleet = FleetKind::kMultiDc;
-      } else if (value == "standard") {
-        spec_.fleet = FleetKind::kStandard;
-      } else {
-        fail("unknown fleet kind '" + value +
-             "' (expected single_pool, multi_dc, standard)");
+      const auto kind = fleet_kind_from_string(value);
+      if (!kind) {
+        return fail("unknown fleet kind '" + value +
+                    "' (expected single_pool, multi_dc, standard)");
       }
+      spec_.fleet = *kind;
     } else if (key == "service") {
       if (value.empty()) return fail("fleet service is empty");
       spec_.service = value;
@@ -399,19 +389,13 @@ class Parser {
   void event_key(const std::string& key, const std::string& value) {
     section_name_ = "[event]";
     if (key == "kind") {
-      if (value == "traffic_multiplier") {
-        event_.kind = ScenarioEventKind::kTrafficMultiplier;
-      } else if (value == "outage") {
-        event_.kind = ScenarioEventKind::kDatacenterOutage;
-      } else if (value == "maintenance_wave") {
-        event_.kind = ScenarioEventKind::kMaintenanceWave;
-      } else if (value == "serving_reduction") {
-        event_.kind = ScenarioEventKind::kServingReduction;
-      } else {
+      const auto kind = event_kind_from_string(value);
+      if (!kind) {
         return fail("unknown event kind '" + value +
                     "' (expected traffic_multiplier, outage, "
                     "maintenance_wave, serving_reduction)");
       }
+      event_.kind = *kind;
       event_has_kind_ = true;
       return;
     }
@@ -420,7 +404,7 @@ class Parser {
     }
     if (!event_key_allowed(key)) {
       return fail("key '" + key + "' is not valid for event kind '" +
-                  std::string(event_kind_name(event_.kind)) + "'");
+                  std::string(to_string(event_.kind)) + "'");
     }
     double v = 0.0;
     if (key == "datacenter") {
@@ -484,17 +468,6 @@ class Parser {
                key == "serving";
     }
     return false;
-  }
-
-  [[nodiscard]] static std::string_view event_kind_name(
-      ScenarioEventKind kind) noexcept {
-    switch (kind) {
-      case ScenarioEventKind::kTrafficMultiplier: return "traffic_multiplier";
-      case ScenarioEventKind::kDatacenterOutage: return "outage";
-      case ScenarioEventKind::kMaintenanceWave: return "maintenance_wave";
-      case ScenarioEventKind::kServingReduction: return "serving_reduction";
-    }
-    return "?";
   }
 
   void fault_key(const std::string& key, const std::string& value) {
@@ -723,23 +696,20 @@ std::string serialize_scenario(const ScenarioSpec& spec) {
     out += "failover = " + sim::to_string(spec.failover) + "\n";
   }
   std::vector<std::string> steps;
-  if (spec.runs(PipelineStep::kMeasure)) steps.emplace_back("measure");
-  if (spec.runs(PipelineStep::kOptimize)) steps.emplace_back("optimize");
-  if (spec.runs(PipelineStep::kModel)) steps.emplace_back("model");
-  if (spec.runs(PipelineStep::kValidate)) steps.emplace_back("validate");
+  for (const PipelineStep step : kPipelineSteps) {
+    if (spec.runs(step)) steps.emplace_back(to_string(step));
+  }
   out += "steps = " + join(steps, ",") + "\n";
 
   out += "\n[fleet]\n";
+  out += "kind = " + std::string(to_string(spec.fleet)) + "\n";
   switch (spec.fleet) {
     case FleetKind::kSinglePool:
-      out += "kind = single_pool\n";
       break;
     case FleetKind::kMultiDc:
-      out += "kind = multi_dc\n";
       out += "datacenters = " + std::to_string(spec.datacenters) + "\n";
       break;
     case FleetKind::kStandard:
-      out += "kind = standard\n";
       if (!spec.services.empty()) {
         out += "services = " + join(spec.services, ",") + "\n";
       }
@@ -786,20 +756,7 @@ std::string serialize_scenario(const ScenarioSpec& spec) {
 
   for (const ScenarioEvent& e : spec.events) {
     out += "\n[event]\n";
-    switch (e.kind) {
-      case ScenarioEventKind::kTrafficMultiplier:
-        out += "kind = traffic_multiplier\n";
-        break;
-      case ScenarioEventKind::kDatacenterOutage:
-        out += "kind = outage\n";
-        break;
-      case ScenarioEventKind::kMaintenanceWave:
-        out += "kind = maintenance_wave\n";
-        break;
-      case ScenarioEventKind::kServingReduction:
-        out += "kind = serving_reduction\n";
-        break;
-    }
+    out += "kind = " + std::string(to_string(e.kind)) + "\n";
     out += "datacenter = " +
            (e.datacenter ? std::to_string(*e.datacenter) : std::string("all")) +
            "\n";

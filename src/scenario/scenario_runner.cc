@@ -221,17 +221,13 @@ std::string format_summary(const ScenarioRunResult& result) {
   out += "days = " + std::to_string(spec.days) + "\n";
   out += "window_seconds = " + std::to_string(spec.window_seconds) + "\n";
   std::string steps;
-  if (spec.runs(PipelineStep::kMeasure)) steps += "measure,";
-  if (spec.runs(PipelineStep::kOptimize)) steps += "optimize,";
-  if (spec.runs(PipelineStep::kModel)) steps += "model,";
-  if (spec.runs(PipelineStep::kValidate)) steps += "validate,";
-  if (!steps.empty()) steps.pop_back();
-  out += "steps = " + steps + "\n";
-  switch (spec.fleet) {
-    case FleetKind::kSinglePool: out += "fleet = single_pool\n"; break;
-    case FleetKind::kMultiDc: out += "fleet = multi_dc\n"; break;
-    case FleetKind::kStandard: out += "fleet = standard\n"; break;
+  for (const PipelineStep step : kPipelineSteps) {
+    if (!spec.runs(step)) continue;
+    if (!steps.empty()) steps += ',';
+    steps += to_string(step);
   }
+  out += "steps = " + steps + "\n";
+  out += "fleet = " + std::string(to_string(spec.fleet)) + "\n";
   if (spec.fleet != FleetKind::kStandard) {
     out += "service = " + spec.service + "\n";
   }

@@ -46,40 +46,95 @@ metric_registry() {
   return kMetrics;
 }
 
-[[nodiscard]] std::string_view step_name(PipelineStep step) noexcept {
-  switch (step) {
-    case PipelineStep::kMeasure: return "measure";
-    case PipelineStep::kOptimize: return "optimize";
-    case PipelineStep::kModel: return "model";
-    case PipelineStep::kValidate: return "validate";
+/// One enum's scenario-file names: the only place each is spelled.
+template <typename Enum>
+struct EnumName {
+  Enum value;
+  std::string_view name;
+};
+
+constexpr EnumName<FleetKind> kFleetKindNames[] = {
+    {FleetKind::kSinglePool, "single_pool"},
+    {FleetKind::kMultiDc, "multi_dc"},
+    {FleetKind::kStandard, "standard"},
+};
+
+constexpr EnumName<PipelineStep> kPipelineStepNames[] = {
+    {PipelineStep::kMeasure, "measure"},
+    {PipelineStep::kOptimize, "optimize"},
+    {PipelineStep::kModel, "model"},
+    {PipelineStep::kValidate, "validate"},
+};
+
+constexpr EnumName<ScenarioEventKind> kEventKindNames[] = {
+    {ScenarioEventKind::kTrafficMultiplier, "traffic_multiplier"},
+    {ScenarioEventKind::kDatacenterOutage, "outage"},
+    {ScenarioEventKind::kMaintenanceWave, "maintenance_wave"},
+    {ScenarioEventKind::kServingReduction, "serving_reduction"},
+};
+
+constexpr EnumName<FaultKind> kFaultKindNames[] = {
+    {FaultKind::kTelemetryGap, "telemetry_gap"},
+    {FaultKind::kNanBurst, "nan_burst"},
+    {FaultKind::kDuplicateWindow, "duplicate_window"},
+    {FaultKind::kOutOfOrderWindow, "out_of_order_window"},
+    {FaultKind::kCorruptRow, "corrupt_row"},
+    {FaultKind::kFeedStall, "feed_stall"},
+    {FaultKind::kClockSkew, "clock_skew"},
+};
+
+template <typename Enum, std::size_t N>
+[[nodiscard]] std::string_view name_of(const EnumName<Enum> (&table)[N],
+                                       Enum value) noexcept {
+  for (const EnumName<Enum>& entry : table) {
+    if (entry.value == value) return entry.name;
   }
   return "?";
+}
+
+template <typename Enum, std::size_t N>
+[[nodiscard]] std::optional<Enum> value_of(const EnumName<Enum> (&table)[N],
+                                           std::string_view name) noexcept {
+  for (const EnumName<Enum>& entry : table) {
+    if (entry.name == name) return entry.value;
+  }
+  return std::nullopt;
 }
 
 }  // namespace
 
+std::string_view to_string(FleetKind kind) noexcept {
+  return name_of(kFleetKindNames, kind);
+}
+
+std::optional<FleetKind> fleet_kind_from_string(std::string_view name) noexcept {
+  return value_of(kFleetKindNames, name);
+}
+
+std::string_view to_string(PipelineStep step) noexcept {
+  return name_of(kPipelineStepNames, step);
+}
+
+std::optional<PipelineStep> pipeline_step_from_string(
+    std::string_view name) noexcept {
+  return value_of(kPipelineStepNames, name);
+}
+
+std::string_view to_string(ScenarioEventKind kind) noexcept {
+  return name_of(kEventKindNames, kind);
+}
+
+std::optional<ScenarioEventKind> event_kind_from_string(
+    std::string_view name) noexcept {
+  return value_of(kEventKindNames, name);
+}
+
 std::string_view to_string(FaultKind kind) noexcept {
-  switch (kind) {
-    case FaultKind::kTelemetryGap: return "telemetry_gap";
-    case FaultKind::kNanBurst: return "nan_burst";
-    case FaultKind::kDuplicateWindow: return "duplicate_window";
-    case FaultKind::kOutOfOrderWindow: return "out_of_order_window";
-    case FaultKind::kCorruptRow: return "corrupt_row";
-    case FaultKind::kFeedStall: return "feed_stall";
-    case FaultKind::kClockSkew: return "clock_skew";
-  }
-  return "?";
+  return name_of(kFaultKindNames, kind);
 }
 
 std::optional<FaultKind> fault_kind_from_string(std::string_view name) noexcept {
-  if (name == "telemetry_gap") return FaultKind::kTelemetryGap;
-  if (name == "nan_burst") return FaultKind::kNanBurst;
-  if (name == "duplicate_window") return FaultKind::kDuplicateWindow;
-  if (name == "out_of_order_window") return FaultKind::kOutOfOrderWindow;
-  if (name == "corrupt_row") return FaultKind::kCorruptRow;
-  if (name == "feed_stall") return FaultKind::kFeedStall;
-  if (name == "clock_skew") return FaultKind::kClockSkew;
-  return std::nullopt;
+  return value_of(kFaultKindNames, name);
 }
 
 std::string_view to_string(AssertOp op) noexcept {
@@ -380,7 +435,7 @@ std::string validate(const ScenarioSpec& spec) {
       }
       if (it->second && !spec.runs(*it->second)) {
         return "assertion on '" + a.metric + "' requires the " +
-               std::string(step_name(*it->second)) + " step";
+               std::string(to_string(*it->second)) + " step";
       }
     }
     if (!std::isfinite(a.value)) {

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/topology.h"
@@ -27,6 +28,11 @@ enum class FleetKind : std::uint8_t {
   kStandard,    ///< The full nine-region standard_fleet.
 };
 
+/// Scenario-file names: single_pool, multi_dc, standard.
+[[nodiscard]] std::string_view to_string(FleetKind kind) noexcept;
+[[nodiscard]] std::optional<FleetKind> fleet_kind_from_string(
+    std::string_view name) noexcept;
+
 /// The four methodology steps; a scenario may run any subset (later steps
 /// never depend on skipped earlier ones at the code level).
 enum class PipelineStep : std::uint8_t {
@@ -35,6 +41,16 @@ enum class PipelineStep : std::uint8_t {
   kModel = 2,
   kValidate = 3,
 };
+
+/// Every step, in pipeline order.
+inline constexpr PipelineStep kPipelineSteps[] = {
+    PipelineStep::kMeasure, PipelineStep::kOptimize, PipelineStep::kModel,
+    PipelineStep::kValidate};
+
+/// Scenario-file names: measure, optimize, model, validate.
+[[nodiscard]] std::string_view to_string(PipelineStep step) noexcept;
+[[nodiscard]] std::optional<PipelineStep> pipeline_step_from_string(
+    std::string_view name) noexcept;
 
 inline constexpr std::uint8_t step_bit(PipelineStep s) noexcept {
   return static_cast<std::uint8_t>(1u << static_cast<std::uint8_t>(s));
@@ -53,6 +69,12 @@ enum class ScenarioEventKind : std::uint8_t {
   kMaintenanceWave,
   kServingReduction,
 };
+
+/// Scenario-file names: traffic_multiplier, outage, maintenance_wave,
+/// serving_reduction.
+[[nodiscard]] std::string_view to_string(ScenarioEventKind kind) noexcept;
+[[nodiscard]] std::optional<ScenarioEventKind> event_kind_from_string(
+    std::string_view name) noexcept;
 
 struct ScenarioEvent {
   ScenarioEventKind kind = ScenarioEventKind::kTrafficMultiplier;
