@@ -2,10 +2,138 @@
 
 #include <cerrno>
 #include <cstdlib>
+#include <string_view>
 
 namespace headroom::cli {
 
 namespace {
+
+[[nodiscard]] constexpr unsigned bit(Command command) noexcept {
+  return 1u << static_cast<unsigned>(command);
+}
+
+constexpr unsigned kPipeline = bit(Command::kPipeline);
+constexpr unsigned kRun = bit(Command::kRunScenario);
+constexpr unsigned kList = bit(Command::kListScenarios);
+constexpr unsigned kExport = bit(Command::kExportTrace);
+constexpr unsigned kServe = bit(Command::kServe);
+constexpr unsigned kBakeoff = bit(Command::kBakeoff);
+constexpr unsigned kPlan = bit(Command::kPlan);
+constexpr unsigned kScenarioCommands = kRun | kExport | kServe | kBakeoff |
+                                       kPlan;
+
+/// Subcommand names, as typed and as error messages name them.
+struct CommandName {
+  std::string_view name;
+  Command command;
+};
+constexpr CommandName kCommands[] = {
+    {"run", Command::kRunScenario},
+    {"list-scenarios", Command::kListScenarios},
+    {"export-trace", Command::kExportTrace},
+    {"serve", Command::kServe},
+    {"bakeoff", Command::kBakeoff},
+    {"plan", Command::kPlan},
+};
+
+[[nodiscard]] std::string command_name(Command command) {
+  for (const CommandName& entry : kCommands) {
+    if (entry.command == command) return std::string(entry.name);
+  }
+  return "";
+}
+
+enum class ValueKind : std::uint8_t {
+  kSwitch,    ///< No value; sets a bool.
+  kText,      ///< Any string.
+  kNonEmpty,  ///< A non-empty string ("FLAG needs a value" otherwise).
+  kCount,     ///< Unsigned integer in [min, max].
+  kPositive,  ///< Number in (0, 1e6].
+  kFailover,  ///< One of sim::failover_policy_from_string's names.
+};
+
+/// A parsed flag value; `set` reads the member its kind fills.
+struct Value {
+  std::string text;
+  std::uint64_t count = 0;
+  double number = 0.0;
+
+  /// `count` for the signed Options fields (every such range fits).
+  [[nodiscard]] std::int64_t as_int() const noexcept {
+    return static_cast<std::int64_t>(count);
+  }
+};
+
+/// One command-line flag: its name, the commands that accept it, how its
+/// value parses (`min`..`max` bound a kCount), and the Options field it
+/// sets.
+struct Flag {
+  std::string_view name;
+  unsigned commands;
+  ValueKind kind;
+  std::uint64_t min;
+  std::uint64_t max;
+  void (*set)(Options&, const Value&);
+};
+
+constexpr std::uint64_t kYearSeconds = 31536000;
+
+constexpr Flag kFlags[] = {
+    {"--threads", kPipeline | kScenarioCommands, ValueKind::kCount, 0, 4096,
+     [](Options& o, const Value& v) {
+       o.threads = v.count;
+       o.threads_set = true;
+     }},
+    {"--fleet", kPipeline, ValueKind::kCount, 1, 1000000,
+     [](Options& o, const Value& v) { o.fleet = v.count; }},
+    {"--days", kPipeline, ValueKind::kCount, 1, 3650,
+     [](Options& o, const Value& v) { o.days = v.as_int(); }},
+    {"--pools", kPipeline, ValueKind::kCount, 1, 9,
+     [](Options& o, const Value& v) { o.pools = v.count; }},
+    {"--seed", kPipeline, ValueKind::kCount, 0, UINT64_MAX,
+     [](Options& o, const Value& v) { o.seed = v.count; }},
+    {"--service", kPipeline, ValueKind::kNonEmpty, 0, 0,
+     [](Options& o, const Value& v) { o.service = v.text; }},
+    {"--scenario", kScenarioCommands, ValueKind::kText, 0, 0,
+     [](Options& o, const Value& v) { o.scenario_path = v.text; }},
+    {"--trace", kRun | kServe | kPlan, ValueKind::kText, 0, 0,
+     [](Options& o, const Value& v) { o.trace_dir = v.text; }},
+    {"--dir", kList | kBakeoff | kPlan, ValueKind::kText, 0, 0,
+     [](Options& o, const Value& v) {
+       o.scenario_dir = v.text;
+       o.dir_set = true;
+     }},
+    {"--out", kExport | kServe | kBakeoff | kPlan, ValueKind::kText, 0, 0,
+     [](Options& o, const Value& v) { o.out_dir = v.text; }},
+    {"--quiet", kScenarioCommands, ValueKind::kSwitch, 0, 0,
+     [](Options& o, const Value&) { o.quiet = true; }},
+    {"--follow", kServe, ValueKind::kSwitch, 0, 0,
+     [](Options& o, const Value&) { o.follow = true; }},
+    {"--extra-days", kServe, ValueKind::kCount, 0, 3650,
+     [](Options& o, const Value& v) { o.extra_days = v.as_int(); }},
+    {"--retention-days", kServe, ValueKind::kCount, 0, 3650,
+     [](Options& o, const Value& v) { o.retention_days = v.as_int(); }},
+    {"--reuse-baseline", kServe, ValueKind::kSwitch, 0, 0,
+     [](Options& o, const Value&) { o.reuse_baseline = true; }},
+    {"--poll-ms", kServe, ValueKind::kCount, 1, 60000,
+     [](Options& o, const Value& v) { o.poll_ms = v.as_int(); }},
+    {"--max-idle-polls", kServe, ValueKind::kCount, 1, 1000000,
+     [](Options& o, const Value& v) { o.max_idle_polls = v.as_int(); }},
+    {"--harden", kServe, ValueKind::kSwitch, 0, 0,
+     [](Options& o, const Value&) { o.harden = true; }},
+    {"--heal-budget", kServe, ValueKind::kCount, 0, kYearSeconds,
+     [](Options& o, const Value& v) { o.heal_budget_seconds = v.as_int(); }},
+    {"--staleness-budget", kServe, ValueKind::kCount, 0, kYearSeconds,
+     [](Options& o, const Value& v) {
+       o.staleness_budget_seconds = v.as_int();
+     }},
+    {"--horizon", kPlan, ValueKind::kCount, 1, 3650,
+     [](Options& o, const Value& v) { o.horizon_days = v.as_int(); }},
+    {"--growth", kPlan, ValueKind::kPositive, 0, 0,
+     [](Options& o, const Value& v) { o.growth = v.number; }},
+    {"--failover", kPlan, ValueKind::kFailover, 0, 0,
+     [](Options& o, const Value& v) { o.failover = v.text; }},
+};
 
 bool parse_count(const std::string& flag, const std::string& text,
                  std::uint64_t minimum, std::uint64_t maximum,
@@ -40,17 +168,97 @@ bool parse_positive_double(const std::string& flag, const std::string& text,
   return true;
 }
 
-/// Consumes the value argument of a value-taking flag. Flags without a
-/// value never call this, so they cannot swallow the next argument.
-bool next_value(const std::vector<std::string>& args, std::size_t* index,
-                const std::string& flag, std::string* value,
-                std::string* error) {
-  if (*index + 1 >= args.size()) {
-    *error = flag + " needs a value";
-    return false;
+/// Parses `text` as `flag`'s value; returns "" or the error message.
+[[nodiscard]] std::string parse_value(const Flag& flag, const std::string& text,
+                                      Value* value) {
+  const std::string name(flag.name);
+  std::string error;
+  value->text = text;
+  switch (flag.kind) {
+    case ValueKind::kSwitch:
+    case ValueKind::kText:
+      break;
+    case ValueKind::kNonEmpty:
+      if (text.empty()) error = name + " needs a value";
+      break;
+    case ValueKind::kCount:
+      parse_count(name, text, flag.min, flag.max, &value->count, &error);
+      break;
+    case ValueKind::kPositive:
+      parse_positive_double(name, text, &value->number, &error);
+      break;
+    case ValueKind::kFailover:
+      // Mirrors sim::failover_policy_from_string; kept in sync by
+      // tests/cli/args_test.cc so the parser stays link-free of sim.
+      if (text != "nearest_survivor" && text != "latency_aware" &&
+          text != "cost_aware") {
+        error = "bad value for " + name + ": '" + text +
+                "' (expected nearest_survivor, latency_aware, cost_aware)";
+      }
+      break;
   }
-  *value = args[++*index];
-  return true;
+  return error;
+}
+
+/// The cross-flag rules each command checks once every flag is parsed;
+/// returns "" or the first violated rule's message.
+[[nodiscard]] std::string check_command(const Options& opt) {
+  const std::string command = command_name(opt.command);
+  const bool scenario = !opt.scenario_path.empty();
+  const bool trace = !opt.trace_dir.empty();
+  const auto both = [&](std::string_view a, std::string_view b) {
+    return command + " takes " + std::string(a) + " or " + std::string(b) +
+           ", not both";
+  };
+  // Silently ignoring a flag is exactly the bug class this parser was
+  // rebuilt to prevent: replay never steps a simulator, so a thread count
+  // cannot apply.
+  const std::string threads_on_trace =
+      "--threads does not apply to " + command + " --trace (" +
+      (opt.command == Command::kServe ? "follow mode" : "replay") +
+      " does not step a simulator)";
+  switch (opt.command) {
+    case Command::kRunScenario:
+      if (!scenario && !trace) {
+        return "run needs --scenario FILE or --trace DIR";
+      }
+      if (scenario && trace) return both("--scenario", "--trace");
+      if (trace && opt.threads_set) return threads_on_trace;
+      break;
+    case Command::kExportTrace:
+      if (!scenario) return "export-trace needs --scenario FILE";
+      if (opt.out_dir.empty()) return "export-trace needs --out DIR";
+      break;
+    case Command::kServe:
+      if (!scenario && !trace) {
+        return "serve needs --scenario FILE or --trace DIR --follow";
+      }
+      if (scenario && trace) return both("--scenario", "--trace");
+      if (trace && !opt.follow) {
+        return "serve --trace requires --follow (a recorded trace is replayed "
+               "with 'run --trace'; serve tails a growing one)";
+      }
+      if (opt.follow && !trace) return "--follow requires --trace DIR";
+      if (trace && opt.threads_set) return threads_on_trace;
+      if (trace && opt.extra_days != 0) {
+        return "--extra-days does not apply to serve --trace (the feed decides "
+               "when the stream ends)";
+      }
+      break;
+    case Command::kBakeoff:
+      if (scenario && opt.dir_set) return both("--scenario", "--dir");
+      break;
+    case Command::kPlan:
+      if (scenario && trace) return both("--scenario", "--trace");
+      if (trace && opt.dir_set) return both("--trace", "--dir");
+      if (scenario && opt.dir_set) return both("--scenario", "--dir");
+      if (trace && opt.threads_set) return threads_on_trace;
+      break;
+    case Command::kPipeline:
+    case Command::kListScenarios:
+      break;
+  }
+  return "";
 }
 
 }  // namespace
@@ -61,354 +269,55 @@ ParseOutcome parse_args(const std::vector<std::string>& args) {
 
   std::size_t start = 0;
   if (!args.empty() && !args[0].empty() && args[0][0] != '-') {
-    if (args[0] == "run") {
-      opt.command = Command::kRunScenario;
-    } else if (args[0] == "list-scenarios") {
-      opt.command = Command::kListScenarios;
-    } else if (args[0] == "export-trace") {
-      opt.command = Command::kExportTrace;
-    } else if (args[0] == "serve") {
-      opt.command = Command::kServe;
-    } else if (args[0] == "bakeoff") {
-      opt.command = Command::kBakeoff;
-    } else if (args[0] == "plan") {
-      opt.command = Command::kPlan;
-    } else {
+    const CommandName* found = nullptr;
+    for (const CommandName& entry : kCommands) {
+      if (args[0] == entry.name) found = &entry;
+    }
+    if (found == nullptr) {
       outcome.error = "unknown command '" + args[0] +
                       "' (expected run, serve, bakeoff, plan, export-trace, "
                       "list-scenarios, or flags)";
       return outcome;
     }
+    opt.command = found->command;
     start = 1;
   }
 
   for (std::size_t i = start; i < args.size(); ++i) {
     const std::string& arg = args[i];
-    std::string value;
-    std::uint64_t parsed = 0;
     if (arg == "--help" || arg == "-h") {
       outcome.show_help = true;
       return outcome;
     }
-    // --threads is shared by the pipeline and run commands.
-    if (arg == "--threads" && opt.command != Command::kListScenarios) {
-      if (!next_value(args, &i, arg, &value, &outcome.error) ||
-          !parse_count(arg, value, 0, 4096, &parsed, &outcome.error)) {
-        return outcome;
-      }
-      opt.threads = parsed;
-      opt.threads_set = true;
-      continue;
-    }
-    if (opt.command == Command::kPipeline) {
-      if (arg == "--fleet") {
-        if (!next_value(args, &i, arg, &value, &outcome.error) ||
-            !parse_count(arg, value, 1, 1000000, &parsed, &outcome.error)) {
-          return outcome;
-        }
-        opt.fleet = parsed;
-      } else if (arg == "--days") {
-        if (!next_value(args, &i, arg, &value, &outcome.error) ||
-            !parse_count(arg, value, 1, 3650, &parsed, &outcome.error)) {
-          return outcome;
-        }
-        opt.days = static_cast<std::int64_t>(parsed);
-      } else if (arg == "--pools") {
-        if (!next_value(args, &i, arg, &value, &outcome.error) ||
-            !parse_count(arg, value, 1, 9, &parsed, &outcome.error)) {
-          return outcome;
-        }
-        opt.pools = parsed;
-      } else if (arg == "--seed") {
-        if (!next_value(args, &i, arg, &value, &outcome.error) ||
-            !parse_count(arg, value, 0, UINT64_MAX, &parsed, &outcome.error)) {
-          return outcome;
-        }
-        opt.seed = parsed;
-      } else if (arg == "--service") {
-        if (!next_value(args, &i, arg, &value, &outcome.error)) {
-          return outcome;
-        }
-        if (value.empty()) {
-          outcome.error = "--service needs a value";
-          return outcome;
-        }
-        opt.service = value;
-      } else {
-        outcome.error = "unknown argument '" + arg + "'";
-        return outcome;
-      }
-    } else if (opt.command == Command::kRunScenario) {
-      if (arg == "--scenario") {
-        if (!next_value(args, &i, arg, &value, &outcome.error)) {
-          return outcome;
-        }
-        opt.scenario_path = value;
-      } else if (arg == "--trace") {
-        if (!next_value(args, &i, arg, &value, &outcome.error)) {
-          return outcome;
-        }
-        opt.trace_dir = value;
-      } else if (arg == "--quiet") {
-        opt.quiet = true;
-      } else {
-        outcome.error = "unknown argument '" + arg + "' for run";
-        return outcome;
-      }
-    } else if (opt.command == Command::kExportTrace) {
-      if (arg == "--scenario") {
-        if (!next_value(args, &i, arg, &value, &outcome.error)) {
-          return outcome;
-        }
-        opt.scenario_path = value;
-      } else if (arg == "--out") {
-        if (!next_value(args, &i, arg, &value, &outcome.error)) {
-          return outcome;
-        }
-        opt.trace_out = value;
-      } else if (arg == "--quiet") {
-        opt.quiet = true;
-      } else {
-        outcome.error = "unknown argument '" + arg + "' for export-trace";
-        return outcome;
-      }
-    } else if (opt.command == Command::kServe) {
-      if (arg == "--scenario") {
-        if (!next_value(args, &i, arg, &value, &outcome.error)) {
-          return outcome;
-        }
-        opt.scenario_path = value;
-      } else if (arg == "--trace") {
-        if (!next_value(args, &i, arg, &value, &outcome.error)) {
-          return outcome;
-        }
-        opt.trace_dir = value;
-      } else if (arg == "--follow") {
-        opt.follow = true;
-      } else if (arg == "--extra-days") {
-        if (!next_value(args, &i, arg, &value, &outcome.error) ||
-            !parse_count(arg, value, 0, 3650, &parsed, &outcome.error)) {
-          return outcome;
-        }
-        opt.extra_days = static_cast<std::int64_t>(parsed);
-      } else if (arg == "--retention-days") {
-        if (!next_value(args, &i, arg, &value, &outcome.error) ||
-            !parse_count(arg, value, 0, 3650, &parsed, &outcome.error)) {
-          return outcome;
-        }
-        opt.retention_days = static_cast<std::int64_t>(parsed);
-      } else if (arg == "--reuse-baseline") {
-        opt.reuse_baseline = true;
-      } else if (arg == "--out") {
-        if (!next_value(args, &i, arg, &value, &outcome.error)) {
-          return outcome;
-        }
-        opt.serve_out = value;
-      } else if (arg == "--poll-ms") {
-        if (!next_value(args, &i, arg, &value, &outcome.error) ||
-            !parse_count(arg, value, 1, 60000, &parsed, &outcome.error)) {
-          return outcome;
-        }
-        opt.poll_ms = static_cast<std::int64_t>(parsed);
-      } else if (arg == "--max-idle-polls") {
-        if (!next_value(args, &i, arg, &value, &outcome.error) ||
-            !parse_count(arg, value, 1, 1000000, &parsed, &outcome.error)) {
-          return outcome;
-        }
-        opt.max_idle_polls = static_cast<std::int64_t>(parsed);
-      } else if (arg == "--harden") {
-        opt.harden = true;
-      } else if (arg == "--heal-budget") {
-        if (!next_value(args, &i, arg, &value, &outcome.error) ||
-            !parse_count(arg, value, 0, 31536000, &parsed, &outcome.error)) {
-          return outcome;
-        }
-        opt.heal_budget_seconds = static_cast<std::int64_t>(parsed);
-      } else if (arg == "--staleness-budget") {
-        if (!next_value(args, &i, arg, &value, &outcome.error) ||
-            !parse_count(arg, value, 0, 31536000, &parsed, &outcome.error)) {
-          return outcome;
-        }
-        opt.staleness_budget_seconds = static_cast<std::int64_t>(parsed);
-      } else if (arg == "--quiet") {
-        opt.quiet = true;
-      } else {
-        outcome.error = "unknown argument '" + arg + "' for serve";
-        return outcome;
-      }
-    } else if (opt.command == Command::kBakeoff) {
-      if (arg == "--scenario") {
-        if (!next_value(args, &i, arg, &value, &outcome.error)) {
-          return outcome;
-        }
-        opt.scenario_path = value;
-      } else if (arg == "--dir") {
-        if (!next_value(args, &i, arg, &value, &outcome.error)) {
-          return outcome;
-        }
-        opt.scenario_dir = value;
-        opt.dir_set = true;
-      } else if (arg == "--out") {
-        if (!next_value(args, &i, arg, &value, &outcome.error)) {
-          return outcome;
-        }
-        opt.bakeoff_out = value;
-      } else if (arg == "--quiet") {
-        opt.quiet = true;
-      } else {
-        outcome.error = "unknown argument '" + arg + "' for bakeoff";
-        return outcome;
-      }
-    } else if (opt.command == Command::kPlan) {
-      if (arg == "--scenario") {
-        if (!next_value(args, &i, arg, &value, &outcome.error)) {
-          return outcome;
-        }
-        opt.scenario_path = value;
-      } else if (arg == "--trace") {
-        if (!next_value(args, &i, arg, &value, &outcome.error)) {
-          return outcome;
-        }
-        opt.trace_dir = value;
-      } else if (arg == "--dir") {
-        if (!next_value(args, &i, arg, &value, &outcome.error)) {
-          return outcome;
-        }
-        opt.scenario_dir = value;
-        opt.dir_set = true;
-      } else if (arg == "--horizon") {
-        if (!next_value(args, &i, arg, &value, &outcome.error) ||
-            !parse_count(arg, value, 1, 3650, &parsed, &outcome.error)) {
-          return outcome;
-        }
-        opt.horizon_days = static_cast<std::int64_t>(parsed);
-      } else if (arg == "--growth") {
-        if (!next_value(args, &i, arg, &value, &outcome.error) ||
-            !parse_positive_double(arg, value, &opt.growth, &outcome.error)) {
-          return outcome;
-        }
-      } else if (arg == "--failover") {
-        if (!next_value(args, &i, arg, &value, &outcome.error)) {
-          return outcome;
-        }
-        // Mirrors sim::failover_policy_from_string; kept in sync by
-        // tests/cli/args_test.cc so the parser stays link-free of sim.
-        if (value != "nearest_survivor" && value != "latency_aware" &&
-            value != "cost_aware") {
-          outcome.error = "bad value for --failover: '" + value +
-                          "' (expected nearest_survivor, latency_aware, "
-                          "cost_aware)";
-          return outcome;
-        }
-        opt.failover = value;
-      } else if (arg == "--out") {
-        if (!next_value(args, &i, arg, &value, &outcome.error)) {
-          return outcome;
-        }
-        opt.plan_out = value;
-      } else if (arg == "--quiet") {
-        opt.quiet = true;
-      } else {
-        outcome.error = "unknown argument '" + arg + "' for plan";
-        return outcome;
-      }
-    } else {  // Command::kListScenarios
-      if (arg == "--dir") {
-        if (!next_value(args, &i, arg, &value, &outcome.error)) {
-          return outcome;
-        }
-        opt.scenario_dir = value;
-      } else {
-        outcome.error = "unknown argument '" + arg + "' for list-scenarios";
-        return outcome;
+    const Flag* flag = nullptr;
+    for (const Flag& entry : kFlags) {
+      if (arg == entry.name && (entry.commands & bit(opt.command)) != 0) {
+        flag = &entry;
       }
     }
+    if (flag == nullptr) {
+      outcome.error = "unknown argument '" + arg + "'";
+      if (opt.command != Command::kPipeline) {
+        outcome.error += " for " + command_name(opt.command);
+      }
+      return outcome;
+    }
+    Value value;
+    if (flag->kind != ValueKind::kSwitch) {
+      // Only value-taking flags consume the next argument, so a switch can
+      // never swallow its right-hand neighbour.
+      if (i + 1 >= args.size()) {
+        outcome.error = arg + " needs a value";
+        return outcome;
+      }
+      outcome.error = parse_value(*flag, args[++i], &value);
+      if (!outcome.error.empty()) return outcome;
+    }
+    flag->set(opt, value);
   }
 
-  if (opt.command == Command::kRunScenario) {
-    if (opt.scenario_path.empty() && opt.trace_dir.empty()) {
-      outcome.error = "run needs --scenario FILE or --trace DIR";
-      return outcome;
-    }
-    if (!opt.scenario_path.empty() && !opt.trace_dir.empty()) {
-      outcome.error = "run takes --scenario or --trace, not both";
-      return outcome;
-    }
-    // Silently ignoring a flag is exactly the bug class this parser was
-    // rebuilt to prevent: replay never steps a simulator, so a thread
-    // count cannot apply.
-    if (!opt.trace_dir.empty() && opt.threads_set) {
-      outcome.error = "--threads does not apply to run --trace "
-                      "(replay does not step a simulator)";
-      return outcome;
-    }
-  }
-  if (opt.command == Command::kExportTrace) {
-    if (opt.scenario_path.empty()) {
-      outcome.error = "export-trace needs --scenario FILE";
-      return outcome;
-    }
-    if (opt.trace_out.empty()) {
-      outcome.error = "export-trace needs --out DIR";
-      return outcome;
-    }
-  }
-  if (opt.command == Command::kServe) {
-    if (opt.scenario_path.empty() && opt.trace_dir.empty()) {
-      outcome.error = "serve needs --scenario FILE or --trace DIR --follow";
-      return outcome;
-    }
-    if (!opt.scenario_path.empty() && !opt.trace_dir.empty()) {
-      outcome.error = "serve takes --scenario or --trace, not both";
-      return outcome;
-    }
-    if (!opt.trace_dir.empty() && !opt.follow) {
-      outcome.error = "serve --trace requires --follow (a recorded trace is "
-                      "replayed with 'run --trace'; serve tails a growing "
-                      "one)";
-      return outcome;
-    }
-    if (opt.follow && opt.trace_dir.empty()) {
-      outcome.error = "--follow requires --trace DIR";
-      return outcome;
-    }
-    if (!opt.trace_dir.empty() && opt.threads_set) {
-      outcome.error = "--threads does not apply to serve --trace "
-                      "(follow mode does not step a simulator)";
-      return outcome;
-    }
-    if (!opt.trace_dir.empty() && opt.extra_days != 0) {
-      outcome.error = "--extra-days does not apply to serve --trace "
-                      "(the feed decides when the stream ends)";
-      return outcome;
-    }
-  }
-  if (opt.command == Command::kBakeoff) {
-    if (!opt.scenario_path.empty() && opt.dir_set) {
-      outcome.error = "bakeoff takes --scenario or --dir, not both";
-      return outcome;
-    }
-  }
-  if (opt.command == Command::kPlan) {
-    if (!opt.scenario_path.empty() && !opt.trace_dir.empty()) {
-      outcome.error = "plan takes --scenario or --trace, not both";
-      return outcome;
-    }
-    if (!opt.trace_dir.empty() && opt.dir_set) {
-      outcome.error = "plan takes --trace or --dir, not both";
-      return outcome;
-    }
-    if (!opt.scenario_path.empty() && opt.dir_set) {
-      outcome.error = "plan takes --scenario or --dir, not both";
-      return outcome;
-    }
-    if (!opt.trace_dir.empty() && opt.threads_set) {
-      outcome.error = "--threads does not apply to plan --trace "
-                      "(replay does not step a simulator)";
-      return outcome;
-    }
-  }
-  outcome.ok = true;
+  outcome.error = check_command(opt);
+  outcome.ok = outcome.error.empty();
   return outcome;
 }
 

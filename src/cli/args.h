@@ -1,10 +1,14 @@
 // headroom CLI argument parsing.
 //
-// Pulled out of main.cc so the parsing rules are unit-testable. Parsing is
-// strictly per-flag: flags that take a value consume exactly one following
-// argument, flags that don't (e.g. --help, --quiet) consume nothing — the
-// historical bug where the loop unconditionally skipped the argument after
-// every flag cannot reappear without failing tests/cli/args_test.cc.
+// Pulled out of main.cc so the parsing rules are unit-testable. One table
+// in args.cc lists every flag: its name, the commands that accept it, how
+// its value parses, and the Options field it sets; one loop walks argv
+// against it, then each command's cross-flag rules run once. Flags that
+// take a value consume exactly one following argument, flags that don't
+// (e.g. --help, --quiet) consume nothing — the historical bug where the
+// loop unconditionally skipped the argument after every flag cannot
+// reappear without failing tests/cli/args_test.cc. A flag a command does
+// not accept is an error naming both, never silently ignored.
 #pragma once
 
 #include <cstdint>
@@ -37,18 +41,16 @@ struct Options {
                               ///< scenarios keep their own value otherwise).
 
   // --- Scenario modes -----------------------------------------------------
-  std::string scenario_path;  ///< run / export-trace: --scenario FILE.
-  std::string scenario_dir = "examples/scenarios";  ///< list: --dir DIR.
-  std::string trace_dir;      ///< run: --trace DIR (replay a recording).
-  std::string trace_out;      ///< export-trace: --out DIR.
-  bool quiet = false;  ///< run/export: print only the machine summary.
-  bool dir_set = false;       ///< bakeoff: --dir was given explicitly.
-
-  // --- Bake-off mode ------------------------------------------------------
-  std::string bakeoff_out;    ///< bakeoff: --out DIR for *.frontier files.
+  std::string scenario_path;  ///< --scenario FILE.
+  std::string scenario_dir = "examples/scenarios";  ///< --dir DIR.
+  std::string trace_dir;      ///< run/serve/plan: --trace DIR.
+  /// --out DIR: the trace (export-trace), window log and summary (serve),
+  /// *.frontier files (bakeoff) or *.plan files (plan).
+  std::string out_dir;
+  bool quiet = false;         ///< Print only the machine-readable output.
+  bool dir_set = false;       ///< --dir was given explicitly.
 
   // --- Plan mode (capacity what-ifs) ---------------------------------------
-  std::string plan_out;         ///< plan: --out DIR for *.plan files.
   std::int64_t horizon_days = 90;  ///< plan: forecast horizon.
   double growth = 0.0;          ///< plan: --growth X (0 = default sweep).
   std::string failover;         ///< plan: --failover P (empty = all three).
@@ -59,7 +61,6 @@ struct Options {
   std::int64_t retention_days = 2;  ///< serve: rolling store retention
                                     ///< (0 = keep full history).
   bool reuse_baseline = false;  ///< serve: seed RSM from observation phase.
-  std::string serve_out;        ///< serve: --out DIR for windows + summary.
   std::int64_t poll_ms = 20;    ///< serve --follow: idle poll sleep.
   std::int64_t max_idle_polls = 250;  ///< serve --follow: idle budget.
   bool harden = false;          ///< serve: run the health layer faultless.

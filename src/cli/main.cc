@@ -13,7 +13,7 @@
 //   Step 4 (Validate) — gate a (deliberately regressing) candidate change
 //                       offline against the synthetic workload.
 //
-// Four modes (see cli/args.h):
+// Commands (flags in cli/args.h):
 //   headroom [flags]              pipeline from flags (legacy mode)
 //   headroom run --scenario FILE  declarative scenario: fleet topology,
 //                                 event timeline, steps, assertions
@@ -23,11 +23,17 @@
 //                                 replayable trace directory
 //   headroom serve ...            continuous mode: stream the pipeline
 //                                 window-by-window over a live feed
+//   headroom bakeoff | plan ...   planner frontiers | capacity what-ifs
 //   headroom list-scenarios       describe a scenario directory
+// The scenario commands share one spec loader (load_spec), bakeoff and
+// plan one file-or-directory sweep (for_each_scenario), and every --out
+// file one checked writer (write_report).
 #include <cstdio>
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -167,6 +173,100 @@ int finish_run(const cli::Options& opt,
   return 0;
 }
 
+/// The --scenario file of run, export-trace and serve, with the --threads
+/// override applied; nullopt (diagnostic printed, exit 2) on a parse error.
+std::optional<scenario::ScenarioSpec> load_spec(const cli::Options& opt) {
+  scenario::ParseResult parsed =
+      scenario::load_scenario_file(opt.scenario_path);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "headroom: %s\n", parsed.error.c_str());
+    return std::nullopt;
+  }
+  if (opt.threads_set) parsed.spec.threads = opt.threads;
+  return std::move(parsed.spec);
+}
+
+/// Creates --out DIR when one was given; false (diagnostic printed) when
+/// it cannot be created.
+bool make_out_dir(const cli::Options& opt) {
+  if (opt.out_dir.empty()) return true;
+  std::error_code ec;
+  std::filesystem::create_directories(opt.out_dir, ec);
+  if (ec) {
+    std::fprintf(stderr, "headroom: cannot create '%s': %s\n",
+                 opt.out_dir.c_str(), ec.message().c_str());
+    return false;
+  }
+  return true;
+}
+
+/// Writes one report file into --out DIR (a no-op without --out): 0, or 2
+/// with `cannot write 'PATH'` when any byte of it fails to reach the file.
+int write_report(const cli::Options& opt, const std::string& name,
+                 const std::string& contents) {
+  if (opt.out_dir.empty()) return 0;
+  const std::string problem = scenario::write_text_file(
+      std::filesystem::path(opt.out_dir) / name, contents);
+  if (problem.empty()) return 0;
+  std::fprintf(stderr, "headroom: %s\n", problem.c_str());
+  return 2;
+}
+
+/// bakeoff's and plan's scenario sweep: the --scenario file or every .scn
+/// in --dir, then --out DIR, then `body` on each spec (--threads applied)
+/// with a blank line between reports. A dead-band spec is skipped with a
+/// note: approximate stepping is not golden-pinnable. Returns 2 on a load
+/// or --out error, else the first non-zero `body` result, else 0.
+int for_each_scenario(
+    const cli::Options& opt,
+    const std::function<int(const scenario::ScenarioSpec&)>& body) {
+  std::vector<scenario::ScenarioSpec> specs;
+  if (!opt.scenario_path.empty()) {
+    std::optional<scenario::ScenarioSpec> spec = load_spec(opt);
+    if (!spec) return 2;
+    specs.push_back(*std::move(spec));
+  } else {
+    const scenario::ScenarioListing listing =
+        scenario::list_scenario_dir(opt.scenario_dir);
+    if (!listing.ok()) {
+      std::fprintf(stderr, "headroom: %s\n", listing.error.c_str());
+      return 2;
+    }
+    for (const scenario::ScenarioListEntry& entry : listing.entries) {
+      if (!entry.ok()) {
+        std::fprintf(stderr, "headroom: %s: %s\n", entry.file.c_str(),
+                     entry.error.c_str());
+        return 2;
+      }
+      specs.push_back(entry.spec);
+      if (opt.threads_set) specs.back().threads = opt.threads;
+    }
+    if (specs.empty()) {
+      std::fprintf(stderr, "headroom: no .scn files in %s\n",
+                   opt.scenario_dir.c_str());
+      return 2;
+    }
+  }
+  if (!make_out_dir(opt)) return 2;
+
+  bool first = true;
+  for (const scenario::ScenarioSpec& spec : specs) {
+    if (spec.quiescent_dead_band > 0.0) {
+      if (!opt.quiet) {
+        std::printf("headroom: skipping '%s' (quiescent dead band — "
+                    "approximate stepping is not golden-pinnable)\n",
+                    spec.name.c_str());
+      }
+      continue;
+    }
+    if (!first) std::printf("\n");
+    first = false;
+    const int rc = body(spec);
+    if (rc != 0) return rc;
+  }
+  return 0;
+}
+
 int run_trace(const cli::Options& opt) {
   const scenario::TraceReplayResult replay =
       scenario::replay_trace(opt.trace_dir);
@@ -183,20 +283,15 @@ int run_trace(const cli::Options& opt) {
 }
 
 int export_trace(const cli::Options& opt) {
-  scenario::ParseResult parsed =
-      scenario::load_scenario_file(opt.scenario_path);
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "headroom: %s\n", parsed.error.c_str());
-    return 2;
-  }
-  if (opt.threads_set) parsed.spec.threads = opt.threads;
+  const std::optional<scenario::ScenarioSpec> spec = load_spec(opt);
+  if (!spec) return 2;
   if (!opt.quiet) {
     std::printf("headroom: recording scenario '%s' into %s\n",
-                parsed.spec.name.c_str(), opt.trace_out.c_str());
+                spec->name.c_str(), opt.out_dir.c_str());
   }
   scenario::ScenarioRunResult result;
   const scenario::TraceExportResult exported =
-      scenario::export_trace(parsed.spec, opt.trace_out, &result);
+      scenario::export_trace(*spec, opt.out_dir, &result);
   if (!exported.ok()) {
     std::fprintf(stderr, "headroom: %s\n", exported.error.c_str());
     return 2;
@@ -210,20 +305,14 @@ int export_trace(const cli::Options& opt) {
 }
 
 int run_scenario(const cli::Options& opt) {
-  scenario::ParseResult parsed = scenario::load_scenario_file(opt.scenario_path);
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "headroom: %s\n", parsed.error.c_str());
-    return 2;
-  }
-  if (opt.threads_set) parsed.spec.threads = opt.threads;
+  const std::optional<scenario::ScenarioSpec> spec = load_spec(opt);
+  if (!spec) return 2;
   if (!opt.quiet) {
-    std::printf("headroom: scenario '%s'%s%s\n", parsed.spec.name.c_str(),
-                parsed.spec.description.empty() ? "" : " — ",
-                parsed.spec.description.c_str());
+    std::printf("headroom: scenario '%s'%s%s\n", spec->name.c_str(),
+                spec->description.empty() ? "" : " — ",
+                spec->description.c_str());
   }
-  const scenario::ScenarioRunResult result =
-      scenario::ScenarioRunner().run(parsed.spec);
-  return finish_run(opt, result);
+  return finish_run(opt, scenario::ScenarioRunner().run(*spec));
 }
 
 int list_scenarios(const cli::Options& opt) {
@@ -244,78 +333,19 @@ int list_scenarios(const cli::Options& opt) {
       continue;
     }
     const scenario::ScenarioSpec& spec = entry.spec;
-    const char* kind = spec.fleet == scenario::FleetKind::kSinglePool
-                           ? "single_pool"
-                           : spec.fleet == scenario::FleetKind::kMultiDc
-                                 ? "multi_dc"
-                                 : "standard";
     std::printf("%-28s %-12s %zu event(s), %zu assertion(s) — %s\n",
-                entry.file.c_str(), kind, spec.events.size(),
-                spec.assertions.size(), spec.description.c_str());
+                entry.file.c_str(),
+                std::string(scenario::to_string(spec.fleet)).c_str(),
+                spec.events.size(), spec.assertions.size(),
+                spec.description.c_str());
   }
   return 0;
 }
 
 int run_bakeoff_cmd(const cli::Options& opt) {
-  namespace fs = std::filesystem;
-
-  // Collect the entrant scenarios: one file, or every .scn in the library.
-  std::vector<scenario::ScenarioSpec> specs;
-  if (!opt.scenario_path.empty()) {
-    scenario::ParseResult parsed =
-        scenario::load_scenario_file(opt.scenario_path);
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "headroom: %s\n", parsed.error.c_str());
-      return 2;
-    }
-    specs.push_back(std::move(parsed.spec));
-  } else {
-    const scenario::ScenarioListing listing =
-        scenario::list_scenario_dir(opt.scenario_dir);
-    if (!listing.ok()) {
-      std::fprintf(stderr, "headroom: %s\n", listing.error.c_str());
-      return 2;
-    }
-    for (const scenario::ScenarioListEntry& entry : listing.entries) {
-      if (!entry.ok()) {
-        std::fprintf(stderr, "headroom: %s: %s\n", entry.file.c_str(),
-                     entry.error.c_str());
-        return 2;
-      }
-      specs.push_back(entry.spec);
-    }
-  }
-  if (specs.empty()) {
-    std::fprintf(stderr, "headroom: no .scn files in %s\n",
-                 opt.scenario_dir.c_str());
-    return 2;
-  }
-
-  if (!opt.bakeoff_out.empty()) {
-    std::error_code ec;
-    fs::create_directories(opt.bakeoff_out, ec);
-    if (ec) {
-      std::fprintf(stderr, "headroom: cannot create '%s': %s\n",
-                   opt.bakeoff_out.c_str(), ec.message().c_str());
-      return 2;
-    }
-  }
-
-  bool first = true;
-  for (scenario::ScenarioSpec& spec : specs) {
-    if (opt.threads_set) spec.threads = opt.threads;
-    if (spec.quiescent_dead_band > 0.0) {
-      if (!opt.quiet) {
-        std::printf("headroom: skipping '%s' (quiescent dead band — "
-                    "approximate stepping is not golden-pinnable)\n",
-                    spec.name.c_str());
-      }
-      continue;
-    }
+  return for_each_scenario(opt, [&](const scenario::ScenarioSpec& spec) {
     const scenario::BakeoffResult result = scenario::run_bakeoff(spec);
     const std::string frontier = scenario::format_frontier(result);
-    if (!first) std::printf("\n");
-    first = false;
     if (!opt.quiet) {
       std::printf("headroom: bake-off '%s' — %zu planners over %zu "
                   "windows on %zu thread(s)\n",
@@ -323,24 +353,11 @@ int run_bakeoff_cmd(const cli::Options& opt) {
                   result.thread_count);
     }
     std::fputs(frontier.c_str(), stdout);
-    if (!opt.bakeoff_out.empty()) {
-      const fs::path out_path =
-          fs::path(opt.bakeoff_out) / (spec.name + ".frontier");
-      std::ofstream out(out_path, std::ios::binary);
-      out << frontier;
-      if (!out.good()) {
-        std::fprintf(stderr, "headroom: cannot write '%s'\n",
-                     out_path.string().c_str());
-        return 2;
-      }
-    }
-  }
-  return 0;
+    return write_report(opt, spec.name + ".frontier", frontier);
+  });
 }
 
 int run_plan_cmd(const cli::Options& opt) {
-  namespace fs = std::filesystem;
-
   scenario::PlanOptions popt;
   popt.horizon_seconds = opt.horizon_days * 86400;
   if (opt.growth > 0.0) popt.growths = {1.0, opt.growth};
@@ -355,16 +372,6 @@ int run_plan_cmd(const cli::Options& opt) {
     popt.policies = {kind};
   }
 
-  if (!opt.plan_out.empty()) {
-    std::error_code ec;
-    fs::create_directories(opt.plan_out, ec);
-    if (ec) {
-      std::fprintf(stderr, "headroom: cannot create '%s': %s\n",
-                   opt.plan_out.c_str(), ec.message().c_str());
-      return 2;
-    }
-  }
-
   // Emit one report: stdout plus the optional --out file.
   const auto emit = [&](const scenario::PlanResult& result) -> int {
     const std::string report = scenario::format_plan(result);
@@ -375,76 +382,19 @@ int run_plan_cmd(const cli::Options& opt) {
                   result.total_pools, result.windows);
     }
     std::fputs(report.c_str(), stdout);
-    if (!opt.plan_out.empty()) {
-      const fs::path out_path =
-          fs::path(opt.plan_out) / (result.spec.name + ".plan");
-      std::ofstream out(out_path, std::ios::binary);
-      out << report;
-      if (!out.good()) {
-        std::fprintf(stderr, "headroom: cannot write '%s'\n",
-                     out_path.string().c_str());
-        return 2;
-      }
-    }
-    return 0;
+    return write_report(opt, result.spec.name + ".plan", report);
   };
 
   if (!opt.trace_dir.empty()) {
+    if (!make_out_dir(opt)) return 2;
     return emit(scenario::run_plan_on_trace(opt.trace_dir, popt));
   }
-
-  std::vector<scenario::ScenarioSpec> specs;
-  if (!opt.scenario_path.empty()) {
-    scenario::ParseResult parsed =
-        scenario::load_scenario_file(opt.scenario_path);
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "headroom: %s\n", parsed.error.c_str());
-      return 2;
-    }
-    specs.push_back(std::move(parsed.spec));
-  } else {
-    const scenario::ScenarioListing listing =
-        scenario::list_scenario_dir(opt.scenario_dir);
-    if (!listing.ok()) {
-      std::fprintf(stderr, "headroom: %s\n", listing.error.c_str());
-      return 2;
-    }
-    for (const scenario::ScenarioListEntry& entry : listing.entries) {
-      if (!entry.ok()) {
-        std::fprintf(stderr, "headroom: %s: %s\n", entry.file.c_str(),
-                     entry.error.c_str());
-        return 2;
-      }
-      specs.push_back(entry.spec);
-    }
-    if (specs.empty()) {
-      std::fprintf(stderr, "headroom: no .scn files in %s\n",
-                   opt.scenario_dir.c_str());
-      return 2;
-    }
-  }
-
-  bool first = true;
-  for (scenario::ScenarioSpec& spec : specs) {
-    if (opt.threads_set) spec.threads = opt.threads;
-    if (spec.quiescent_dead_band > 0.0) {
-      if (!opt.quiet) {
-        std::printf("headroom: skipping '%s' (quiescent dead band — "
-                    "approximate stepping is not golden-pinnable)\n",
-                    spec.name.c_str());
-      }
-      continue;
-    }
-    if (!first) std::printf("\n");
-    first = false;
-    const int rc = emit(scenario::run_plan(spec, popt));
-    if (rc != 0) return rc;
-  }
-  return 0;
+  return for_each_scenario(opt, [&](const scenario::ScenarioSpec& spec) {
+    return emit(scenario::run_plan(spec, popt));
+  });
 }
 
 int run_serve(const cli::Options& opt) {
-  namespace fs = std::filesystem;
   scenario::ServeOptions sopt;
   sopt.extra_days = opt.extra_days;
   sopt.retention_seconds = opt.retention_days * 86400;
@@ -455,16 +405,11 @@ int run_serve(const cli::Options& opt) {
   sopt.heal_budget_seconds = opt.heal_budget_seconds;
   sopt.staleness_budget_seconds = opt.staleness_budget_seconds;
 
+  if (!make_out_dir(opt)) return 2;
+  const std::filesystem::path log_path =
+      std::filesystem::path(opt.out_dir) / "windows.log";
   std::ofstream window_log;
-  if (!opt.serve_out.empty()) {
-    std::error_code ec;
-    fs::create_directories(opt.serve_out, ec);
-    if (ec) {
-      std::fprintf(stderr, "headroom: cannot create '%s': %s\n",
-                   opt.serve_out.c_str(), ec.message().c_str());
-      return 2;
-    }
-    const fs::path log_path = fs::path(opt.serve_out) / "windows.log";
+  if (!opt.out_dir.empty()) {
     window_log.open(log_path, std::ios::binary);
     if (!window_log) {
       std::fprintf(stderr, "headroom: cannot write '%s'\n",
@@ -480,36 +425,29 @@ int run_serve(const cli::Options& opt) {
   scenario::ServeResult served;
   const scenario::ServeRunner runner(sopt);
   if (opt.trace_dir.empty()) {
-    scenario::ParseResult parsed =
-        scenario::load_scenario_file(opt.scenario_path);
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "headroom: %s\n", parsed.error.c_str());
-      return 2;
-    }
-    if (opt.threads_set) parsed.spec.threads = opt.threads;
-    served = runner.serve(parsed.spec, emit);
+    const std::optional<scenario::ScenarioSpec> spec = load_spec(opt);
+    if (!spec) return 2;
+    served = runner.serve(*spec, emit);
   } else {
     served = runner.follow(opt.trace_dir, emit);
   }
 
-  if (!opt.serve_out.empty()) {
-    const fs::path summary_path = fs::path(opt.serve_out) / "summary.txt";
-    std::ofstream summary_out(summary_path, std::ios::binary);
-    summary_out << served.summary;
-    if (!summary_out.good()) {
+  if (window_log.is_open()) {
+    // The log streams one line per window; a failed write of any of them
+    // shows once the rest is flushed.
+    window_log.close();
+    if (window_log.fail()) {
       std::fprintf(stderr, "headroom: cannot write '%s'\n",
-                   summary_path.string().c_str());
+                   log_path.string().c_str());
       return 2;
     }
-    if (served.health_active) {
-      const fs::path health_path = fs::path(opt.serve_out) / "health.txt";
-      std::ofstream health_out(health_path, std::ios::binary);
-      health_out << served.health_report;
-      if (!health_out.good()) {
-        std::fprintf(stderr, "headroom: cannot write '%s'\n",
-                     health_path.string().c_str());
-        return 2;
-      }
+  }
+  if (const int rc = write_report(opt, "summary.txt", served.summary)) {
+    return rc;
+  }
+  if (served.health_active) {
+    if (const int rc = write_report(opt, "health.txt", served.health_report)) {
+      return rc;
     }
   }
   if (!opt.quiet) {

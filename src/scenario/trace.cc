@@ -56,14 +56,6 @@ constexpr std::string_view kServerDayHeader =
 
 // --- Export ----------------------------------------------------------------
 
-[[nodiscard]] std::string write_text_file(const fs::path& path,
-                                          const std::string& contents) {
-  std::ofstream out(path, std::ios::binary);
-  out << contents;
-  if (!out.good()) return "cannot write " + path.string();
-  return "";
-}
-
 [[nodiscard]] std::string serialize_server_days(
     std::span<const sim::ServerDayCpu> rows) {
   std::string out{kServerDayHeader};
@@ -244,6 +236,14 @@ struct Manifest {
 }
 
 }  // namespace
+
+std::string write_text_file(const fs::path& path, std::string_view contents) {
+  std::ofstream out(path, std::ios::binary);
+  out << contents;
+  out.close();
+  if (out.fail()) return "cannot write '" + path.string() + "'";
+  return "";
+}
 
 TraceExportResult export_trace(const ScenarioSpec& spec,
                                const std::string& dir,

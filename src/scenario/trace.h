@@ -31,13 +31,22 @@
 // dead band (its report would not be golden-pinnable).
 #pragma once
 
+#include <filesystem>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "scenario/scenario_runner.h"
 #include "telemetry/metric_store.h"
 
 namespace headroom::scenario {
+
+/// Writes `contents` to `path` (binary, truncating). The file is closed
+/// before it is checked, so a write error that only surfaces when the
+/// buffered bytes are flushed (a full disk) is caught too. Returns "" or
+/// `cannot write 'PATH'`. export_trace and every CLI --out file use it.
+[[nodiscard]] std::string write_text_file(const std::filesystem::path& path,
+                                          std::string_view contents);
 
 struct TraceExportResult {
   std::string error;               ///< Empty on success.

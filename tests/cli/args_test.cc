@@ -141,7 +141,7 @@ TEST(CliArgs, ExportTraceParsesScenarioAndOut) {
   ASSERT_TRUE(outcome.ok) << outcome.error;
   EXPECT_EQ(outcome.options.command, Command::kExportTrace);
   EXPECT_EQ(outcome.options.scenario_path, "f.scn");
-  EXPECT_EQ(outcome.options.trace_out, "d");
+  EXPECT_EQ(outcome.options.out_dir, "d");
   EXPECT_EQ(outcome.options.threads, 2u);
   EXPECT_TRUE(outcome.options.threads_set);
   EXPECT_TRUE(outcome.options.quiet);
@@ -188,7 +188,7 @@ TEST(CliArgs, ServeParsesScenarioAndKnobs) {
   EXPECT_EQ(outcome.options.extra_days, 2);
   EXPECT_EQ(outcome.options.retention_days, 3);
   EXPECT_TRUE(outcome.options.reuse_baseline);
-  EXPECT_EQ(outcome.options.serve_out, "logs");
+  EXPECT_EQ(outcome.options.out_dir, "logs");
   EXPECT_EQ(outcome.options.threads, 2u);
   EXPECT_TRUE(outcome.options.quiet);
 }
@@ -267,7 +267,7 @@ TEST(CliArgs, BakeoffDefaultsToTheScenarioLibrary) {
   EXPECT_EQ(outcome.options.scenario_dir, "examples/scenarios");
   EXPECT_FALSE(outcome.options.dir_set);
   EXPECT_TRUE(outcome.options.scenario_path.empty());
-  EXPECT_TRUE(outcome.options.bakeoff_out.empty());
+  EXPECT_TRUE(outcome.options.out_dir.empty());
   EXPECT_FALSE(outcome.options.quiet);
 }
 
@@ -278,7 +278,7 @@ TEST(CliArgs, BakeoffParsesAllFlags) {
   ASSERT_TRUE(outcome.ok) << outcome.error;
   EXPECT_EQ(outcome.options.scenario_dir, "scns");
   EXPECT_TRUE(outcome.options.dir_set);
-  EXPECT_EQ(outcome.options.bakeoff_out, "frontiers");
+  EXPECT_EQ(outcome.options.out_dir, "frontiers");
   EXPECT_TRUE(outcome.options.quiet);
   EXPECT_EQ(outcome.options.threads, 4u);
   EXPECT_TRUE(outcome.options.threads_set);
@@ -321,7 +321,7 @@ TEST(CliArgs, PlanDefaults) {
   EXPECT_EQ(outcome.options.horizon_days, 90);
   EXPECT_EQ(outcome.options.growth, 0.0);
   EXPECT_TRUE(outcome.options.failover.empty());
-  EXPECT_TRUE(outcome.options.plan_out.empty());
+  EXPECT_TRUE(outcome.options.out_dir.empty());
 }
 
 TEST(CliArgs, ParsesAllPlanFlags) {
@@ -334,7 +334,7 @@ TEST(CliArgs, ParsesAllPlanFlags) {
   EXPECT_EQ(outcome.options.horizon_days, 30);
   EXPECT_DOUBLE_EQ(outcome.options.growth, 1.75);
   EXPECT_EQ(outcome.options.failover, "latency_aware");
-  EXPECT_EQ(outcome.options.plan_out, "plans");
+  EXPECT_EQ(outcome.options.out_dir, "plans");
   EXPECT_EQ(outcome.options.threads, 4u);
   EXPECT_TRUE(outcome.options.quiet);
 }
