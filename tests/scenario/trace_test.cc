@@ -325,6 +325,36 @@ TEST(TraceLoad, ReplayAndPlanReportThePoolCsvDefectAlike) {
   }
 }
 
+TEST(TraceLoad, PoolCsvHeaderDefectReadsAlikeInEveryLoader) {
+  // A wrong schema is fatal even while tailing: replay, plan and follow
+  // check a pool CSV's header with the same telemetry function, so each
+  // reports the same `path:1:` diagnostic.
+  const struct {
+    const char* tag;
+    const char* header;
+    const char* expected;
+  } cases[] = {
+      {"hdr_first", "time,rps\n",
+       "pool_0_0.csv:1: bad header: first column must be 'window_start', "
+       "got 'time'"},
+      {"hdr_nometric", "window_start\n",
+       "pool_0_0.csv:1: bad header: no metric columns"},
+      {"hdr_unknown", "window_start,rps,bogus\n",
+       "pool_0_0.csv:1: unknown metric column 'bogus'"},
+      {"hdr_dup", "window_start,rps,rps\n",
+       "pool_0_0.csv:1: duplicate metric column 'rps'"},
+  };
+  for (const auto& c : cases) {
+    const fs::path dir = write_trace_dir(c.tag, {{"pool_0_0.csv", c.header}});
+    const std::string replayed = replay_trace(dir.string()).error;
+    EXPECT_NE(replayed.find(c.expected), std::string::npos)
+        << c.tag << ": " << replayed;
+    EXPECT_EQ(plan_error(dir), replayed) << c.tag;
+    EXPECT_EQ(follow_error(dir), replayed) << c.tag;
+    fs::remove_all(dir);
+  }
+}
+
 TEST(TraceLoad, TruncatedRecordingSaysWhereItEnds) {
   // A recording cut short inside its RSM phase: replay must name the time
   // and the end of the recording, not report a pending feed.
