@@ -19,8 +19,9 @@
 # Usage errors print usage() after the message; the transcript writes that
 # block as `[usage]` when it is byte-identical to this run's --help output
 # (which the `help` golden pins in full). Every invocation runs inside
-# WORK_DIR on relative paths, so no golden names a host path. Each passes
-# --threads 1 or prints nothing that names the thread count.
+# WORK_DIR on relative paths, so no golden names a host path. Every
+# invocation that steps a simulator passes --threads 1; a replay prints
+# the recorded scenario's own count (1 in assert_fails.scn).
 cmake_minimum_required(VERSION 3.20)
 
 foreach(var HEADROOM SOURCE_DIR WORK_DIR)
