@@ -22,6 +22,7 @@
 
 #include "scenario/scenario_parser.h"
 #include "scenario/scenario_runner.h"
+#include "sim/failover.h"
 
 #ifndef HEADROOM_SCENARIO_DIR
 #error "HEADROOM_SCENARIO_DIR must point at examples/scenarios"
@@ -140,6 +141,134 @@ TEST(ScenarioLibrary, EveryShippedFileRoundTripsThroughTheSerializer) {
     ASSERT_TRUE(second.ok()) << second.error;
     EXPECT_EQ(first.spec, second.spec) << stem;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Canonical bytes: serialize_scenario(parse(file)) of every shipped file,
+// and of one spec that sets every key away from its default, pinned under
+// golden/canonical/ (regenerated like the summaries).
+
+/// Compares `text` with golden/canonical/<stem>.scn, or rewrites the pin.
+void expect_canonical_pin(const std::string& stem, const std::string& text) {
+  const fs::path golden_path =
+      fs::path(HEADROOM_GOLDEN_DIR) / "canonical" / (stem + ".scn");
+  if (std::getenv("HEADROOM_UPDATE_GOLDENS") != nullptr) {
+    fs::create_directories(golden_path.parent_path());
+    std::ofstream out(golden_path, std::ios::binary);
+    out << text;
+    out.close();
+    ASSERT_FALSE(out.fail()) << "failed to write " << golden_path;
+    GTEST_SKIP() << "updated " << golden_path;
+  }
+  ASSERT_TRUE(fs::exists(golden_path))
+      << "no canonical pin for " << stem
+      << "; run with HEADROOM_UPDATE_GOLDENS=1 to create it";
+  EXPECT_EQ(text, read_file(golden_path))
+      << "canonical form drifted from " << golden_path;
+}
+
+class ScenarioCanonical : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ScenarioCanonical, SerializedBytesMatchPin) {
+  const ParseResult parsed = load_scenario_file(
+      (fs::path(HEADROOM_SCENARIO_DIR) / (GetParam() + ".scn")).string());
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  expect_canonical_pin(GetParam(), serialize_scenario(parsed.spec));
+}
+
+INSTANTIATE_TEST_SUITE_P(Library, ScenarioCanonical,
+                         ::testing::ValuesIn(scenario_stems()));
+
+/// A multi_dc spec with every [scenario], [fleet], [datacenter] and [pool]
+/// key off its default, every event kind and every fault kind with each
+/// key its kind takes. The standard-fleet keys are set in hot_cool_fleet.
+ScenarioSpec every_key_spec() {
+  ScenarioSpec spec;
+  spec.name = "every_key";
+  spec.description = "every key away from its default";
+  spec.seed = 11;
+  spec.days = 3;
+  spec.threads = 2;
+  spec.window_seconds = 300;
+  spec.steps = step_bit(PipelineStep::kMeasure) |
+               step_bit(PipelineStep::kOptimize) |
+               step_bit(PipelineStep::kValidate);
+  spec.quiescent_dead_band = 0.015;
+  spec.per_server_accounting = false;
+  spec.failover = sim::FailoverPolicyKind::kLatencyAware;
+  spec.fleet = FleetKind::kMultiDc;
+  spec.datacenters = 4;
+  spec.service = "B";
+  spec.servers = 33;
+  spec.datacenter_overrides.push_back(
+      {.datacenter = 1, .demand_weight = 1.25, .timezone_offset_hours = -5.5});
+  spec.pool_overrides.push_back({.datacenter = 2,
+                                 .pool = 0,
+                                 .servers = 40,
+                                 .demand_multiplier = 1.1,
+                                 .burst_multiplier = 2.5,
+                                 .burst_start_hour = 13.25,
+                                 .burst_hours = 1.5});
+  ScenarioEvent traffic;
+  traffic.kind = ScenarioEventKind::kTrafficMultiplier;
+  traffic.start_hour = 30.0;
+  traffic.duration_hours = 2.0;
+  traffic.multiplier = 3.5;
+  spec.events.push_back(traffic);
+  ScenarioEvent outage;
+  outage.kind = ScenarioEventKind::kDatacenterOutage;
+  outage.datacenter = 3;
+  outage.start_hour = 40.5;
+  outage.duration_hours = 1.25;
+  spec.events.push_back(outage);
+  ScenarioEvent wave;
+  wave.kind = ScenarioEventKind::kMaintenanceWave;
+  wave.datacenter = 2;
+  wave.pool = 0;
+  wave.start_hour = 20.0;
+  wave.duration_hours = 4.0;
+  wave.offline_fraction = 0.3;
+  spec.events.push_back(wave);
+  ScenarioEvent reduction;
+  reduction.kind = ScenarioEventKind::kServingReduction;
+  reduction.datacenter = 0;
+  reduction.pool = 0;
+  reduction.start_hour = 60.0;
+  reduction.serving = 20;
+  spec.events.push_back(reduction);
+  const FaultKind pool_faults[] = {
+      FaultKind::kTelemetryGap, FaultKind::kNanBurst,
+      FaultKind::kDuplicateWindow, FaultKind::kOutOfOrderWindow,
+      FaultKind::kCorruptRow, FaultKind::kClockSkew};
+  for (const FaultKind kind : pool_faults) {
+    FaultSpec f;
+    f.kind = kind;
+    f.datacenter = static_cast<std::uint32_t>(spec.faults.size() % 4);
+    f.pool = 0;
+    f.start_hour = 5.0 + 3.0 * static_cast<double>(spec.faults.size());
+    f.duration_hours = 0.5;
+    if (kind == FaultKind::kClockSkew) f.skew_seconds = -30.0;
+    spec.faults.push_back(f);
+  }
+  FaultSpec stall;
+  stall.kind = FaultKind::kFeedStall;
+  stall.start_hour = 50.0;
+  stall.duration_hours = 0.25;
+  spec.faults.push_back(stall);
+  spec.assertions.push_back({"metric_valid", AssertOp::kEq, 1.0});
+  spec.assertions.push_back({"pool(3,0).peak_rps", AssertOp::kGe, 1.0});
+  spec.assertions.push_back({"rsm_reduction_pct", AssertOp::kGt, 0.5});
+  return spec;
+}
+
+TEST(ScenarioCanonical, EveryKeySpecMatchesPinAndRoundTrips) {
+  const ScenarioSpec spec = every_key_spec();
+  ASSERT_EQ(validate(spec), "");
+  const std::string text = serialize_scenario(spec);
+  const ParseResult reparsed = parse_scenario(text, "every_key.scn");
+  ASSERT_TRUE(reparsed.ok()) << reparsed.error;
+  EXPECT_EQ(reparsed.spec, spec);
+  expect_canonical_pin("every_key", text);
 }
 
 }  // namespace

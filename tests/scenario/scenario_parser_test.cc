@@ -469,6 +469,155 @@ const MalformedCase kMalformed[] = {
      "[scenario]\nname = x\n[assert]\nexpect = pool(1,0).peak_rps >= 1\n",
      "test.scn: assertion 'pool(1,0).peak_rps': datacenter 1 is out of "
      "range (fleet has 1 datacenter(s))"},
+    // One row per value key whose bad-value diagnostic no row above pins.
+    {"threads out of range", "[scenario]\nname = x\nthreads = 4097\n",
+     "test.scn:3: bad value '4097' for 'threads' (expected integer 0..4096)"},
+    {"window seconds zero", "[scenario]\nname = x\nwindow_seconds = 0\n",
+     "test.scn:3: bad value '0' for 'window_seconds' (expected integer "
+     "1..86400)"},
+    {"dead band of one", "[scenario]\nname = x\nquiescent_dead_band = 1\n",
+     "test.scn:3: bad value '1' for 'quiescent_dead_band' (expected number "
+     "0..1 (0 = exact stepping))"},
+    {"bad accounting bool",
+     "[scenario]\nname = x\nper_server_accounting = yes\n",
+     "test.scn:3: bad value 'yes' for 'per_server_accounting' (expected true "
+     "or false)"},
+    {"empty name", "[scenario]\nname =\n", "test.scn:2: scenario name is empty"},
+    {"empty fleet service", "[scenario]\nname = x\n[fleet]\nservice =\n",
+     "test.scn:4: fleet service is empty"},
+    {"empty services",
+     "[scenario]\nname = x\n[fleet]\nkind = standard\nservices = ,\n",
+     "test.scn:5: services must be a non-empty comma list"},
+    {"fleet servers zero", "[scenario]\nname = x\n[fleet]\nservers = 0\n",
+     "test.scn:4: bad value '0' for 'servers' (expected integer 1..1000000)"},
+    {"regional peak zero",
+     "[scenario]\nname = x\n[fleet]\nkind = standard\nregional_peak_rps = 0\n",
+     "test.scn:5: bad value '0' for 'regional_peak_rps' (expected positive "
+     "number)"},
+    {"datacenter weight zero",
+     "[scenario]\nname = x\n[datacenter 0]\ndemand_weight = 0\n",
+     "test.scn:4: bad value '0' for 'demand_weight' (expected positive "
+     "number)"},
+    {"datacenter timezone out of range",
+     "[scenario]\nname = x\n[datacenter 0]\ntimezone_offset_hours = 14.5\n",
+     "test.scn:4: bad value '14.5' for 'timezone_offset_hours' (expected "
+     "number -12..14)"},
+    {"pool servers zero", "[scenario]\nname = x\n[pool 0 0]\nservers = 0\n",
+     "test.scn:4: bad value '0' for 'servers' (expected integer 1..1000000)"},
+    {"pool demand multiplier negative",
+     "[scenario]\nname = x\n[pool 0 0]\ndemand_multiplier = -1\n",
+     "test.scn:4: bad value '-1' for 'demand_multiplier' (expected positive "
+     "number)"},
+    {"pool burst multiplier zero",
+     "[scenario]\nname = x\n[pool 0 0]\nburst_multiplier = 0\n",
+     "test.scn:4: bad value '0' for 'burst_multiplier' (expected positive "
+     "number)"},
+    {"pool burst start at 24",
+     "[scenario]\nname = x\n[pool 0 0]\nburst_start_hour = 24\n",
+     "test.scn:4: bad value '24' for 'burst_start_hour' (expected number "
+     "0..24)"},
+    {"pool burst hours over 24",
+     "[scenario]\nname = x\n[pool 0 0]\nburst_hours = 24.5\n",
+     "test.scn:4: bad value '24.5' for 'burst_hours' (expected number 0..24)"},
+    {"event datacenter out of range",
+     "[scenario]\nname = x\n[event]\nkind = outage\ndatacenter = 9\n",
+     "test.scn:5: bad value '9' for 'datacenter' (expected index 0..8 or "
+     "'all')"},
+    {"event pool out of range",
+     "[scenario]\nname = x\n[event]\nkind = maintenance_wave\npool = 64\n",
+     "test.scn:5: bad value '64' for 'pool' (expected index 0..63)"},
+    {"event start negative",
+     "[scenario]\nname = x\n[event]\nkind = outage\nstart_hour = -1\n",
+     "test.scn:5: bad value '-1' for 'start_hour' (expected non-negative "
+     "number)"},
+    {"event duration negative",
+     "[scenario]\nname = x\n[event]\nkind = outage\nduration_hours = -0.5\n",
+     "test.scn:5: bad value '-0.5' for 'duration_hours' (expected "
+     "non-negative number)"},
+    {"event multiplier zero",
+     "[scenario]\nname = x\n[event]\nkind = traffic_multiplier\n"
+     "multiplier = 0\n",
+     "test.scn:5: bad value '0' for 'multiplier' (expected positive number)"},
+    {"event offline fraction zero",
+     "[scenario]\nname = x\n[event]\nkind = maintenance_wave\n"
+     "offline_fraction = 0\n",
+     "test.scn:5: bad value '0' for 'offline_fraction' (expected number in "
+     "(0, 1])"},
+    {"event serving zero",
+     "[scenario]\nname = x\n[event]\nkind = serving_reduction\nserving = 0\n",
+     "test.scn:5: bad value '0' for 'serving' (expected integer 1..1000000)"},
+    {"fault datacenter index too large",
+     "[scenario]\nname = x\n[fault]\nkind = nan_burst\ndatacenter = 9\n",
+     "test.scn:5: bad value '9' for 'datacenter' (expected index 0..8)"},
+    {"fault datacenter all",
+     "[scenario]\nname = x\n[fault]\nkind = nan_burst\ndatacenter = all\n",
+     "test.scn:5: bad value 'all' for 'datacenter' (expected index 0..8)"},
+    {"fault pool out of range",
+     "[scenario]\nname = x\n[fault]\nkind = corrupt_row\npool = 64\n",
+     "test.scn:5: bad value '64' for 'pool' (expected index 0..63)"},
+    {"fault start negative",
+     "[scenario]\nname = x\n[fault]\nkind = feed_stall\nstart_hour = -1\n",
+     "test.scn:5: bad value '-1' for 'start_hour' (expected non-negative "
+     "number)"},
+    {"fault duration zero",
+     "[scenario]\nname = x\n[fault]\nkind = feed_stall\nduration_hours = 0\n",
+     "test.scn:5: bad value '0' for 'duration_hours' (expected positive "
+     "number)"},
+    {"fault skew zero",
+     "[scenario]\nname = x\n[fault]\nkind = clock_skew\nskew_seconds = 0\n",
+     "test.scn:5: bad value '0' for 'skew_seconds' (expected non-zero "
+     "number)"},
+    // Unknown keys and a repeated [fleet].
+    {"unknown fleet key", "[scenario]\nname = x\n[fleet]\nzones = 3\n",
+     "test.scn:4: unknown key 'zones' in [fleet]"},
+    {"unknown datacenter key",
+     "[scenario]\nname = x\n[datacenter 0]\nweight = 2\n",
+     "test.scn:4: unknown key 'weight' in [datacenter]"},
+    {"unknown pool key", "[scenario]\nname = x\n[pool 0 0]\nsize = 2\n",
+     "test.scn:4: unknown key 'size' in [pool]"},
+    {"duplicate fleet section",
+     "[scenario]\nname = x\n[fleet]\nservers = 8\n[fleet]\n",
+     "test.scn:5: duplicate [fleet] section"},
+    // One key each event and fault kind refuses.
+    {"key invalid for traffic multiplier",
+     "[scenario]\nname = x\n[event]\nkind = traffic_multiplier\npool = 0\n",
+     "test.scn:5: key 'pool' is not valid for event kind "
+     "'traffic_multiplier'"},
+    {"key invalid for maintenance wave",
+     "[scenario]\nname = x\n[event]\nkind = maintenance_wave\nserving = 3\n",
+     "test.scn:5: key 'serving' is not valid for event kind "
+     "'maintenance_wave'"},
+    {"key invalid for serving reduction",
+     "[scenario]\nname = x\n[event]\nkind = serving_reduction\n"
+     "duration_hours = 1\n",
+     "test.scn:5: key 'duration_hours' is not valid for event kind "
+     "'serving_reduction'"},
+    {"unknown key in an event",
+     "[scenario]\nname = x\n[event]\nkind = outage\nseverity = 2\n",
+     "test.scn:5: key 'severity' is not valid for event kind 'outage'"},
+    {"key invalid for nan burst",
+     "[scenario]\nname = x\n[fault]\nkind = nan_burst\nskew_seconds = 5\n",
+     "test.scn:5: key 'skew_seconds' is not valid for fault kind "
+     "'nan_burst'"},
+    {"key invalid for duplicate window",
+     "[scenario]\nname = x\n[fault]\nkind = duplicate_window\n"
+     "skew_seconds = 5\n",
+     "test.scn:5: key 'skew_seconds' is not valid for fault kind "
+     "'duplicate_window'"},
+    {"key invalid for out of order window",
+     "[scenario]\nname = x\n[fault]\nkind = out_of_order_window\n"
+     "multiplier = 2\n",
+     "test.scn:5: key 'multiplier' is not valid for fault kind "
+     "'out_of_order_window'"},
+    {"key invalid for corrupt row",
+     "[scenario]\nname = x\n[fault]\nkind = corrupt_row\nserving = 2\n",
+     "test.scn:5: key 'serving' is not valid for fault kind 'corrupt_row'"},
+    {"key invalid for clock skew",
+     "[scenario]\nname = x\n[fault]\nkind = clock_skew\nmultiplier = 2\n",
+     "test.scn:5: key 'multiplier' is not valid for fault kind 'clock_skew'"},
+    {"feed stall rejects a pool",
+     "[scenario]\nname = x\n[fault]\nkind = feed_stall\npool = 0\n",
+     "test.scn:5: key 'pool' is not valid for fault kind 'feed_stall'"},
 };
 
 class ScenarioParserMalformed
