@@ -46,7 +46,7 @@ constexpr std::string_view kServerDayHeader =
   char* end = nullptr;
   errno = 0;
   const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
+  if (end != text.c_str() + text.size() || errno == ERANGE ||
       v > 0xFFFFFFFFull) {
     return false;
   }

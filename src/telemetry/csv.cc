@@ -30,7 +30,8 @@ bool parse_int64(const std::string& text, std::int64_t* out) {
   char* end = nullptr;
   errno = 0;
   const long long v = std::strtoll(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0' || errno == ERANGE) return false;
+  // Reaching size() rejects an embedded NUL, where strtoll would stop.
+  if (end != text.c_str() + text.size() || errno == ERANGE) return false;
   *out = v;
   return true;
 }
@@ -42,7 +43,7 @@ bool parse_finite_double(const std::string& text, double* out) {
   // No errno/ERANGE check: glibc flags subnormal results as range errors,
   // but subnormals are legitimate trace values (and round-trip exactly).
   // Overflow is caught by the finiteness test.
-  if (end == text.c_str() || *end != '\0' || !std::isfinite(v)) {
+  if (end != text.c_str() + text.size() || !std::isfinite(v)) {
     return false;
   }
   *out = v;

@@ -325,6 +325,39 @@ TEST(TraceLoad, ReplayAndPlanReportThePoolCsvDefectAlike) {
   }
 }
 
+TEST(TraceLoad, EmbeddedNulIsABadValue) {
+  // strtoll/strtoull/strtod stop at a NUL; every trace parser must read
+  // the field to its end, so these report the field instead of passing.
+  using namespace std::string_literals;
+  const struct {
+    const char* tag;
+    const char* file;
+    std::string contents;
+    std::string expected;
+  } cases[] = {
+      {"nul_pool_row", "pool_0_0.csv",
+       "window_start,rps,cpu_pct_attributed,latency_p95_ms,active_servers\n"
+       "0,100\0,40,20,4\n"s,
+       "pool_0_0.csv:2: bad value '100\0' for column 'rps' (expected a "
+       "finite number)"s},
+      {"nul_manifest_window", "manifest.ini",
+       std::string(kManifest).replace(std::string(kManifest).find("120"), 3,
+                                      "120\0"s),
+       "manifest.ini:3: bad window_seconds '120\0'"s},
+      {"nul_manifest_pool", "manifest.ini",
+       std::string(kManifest).replace(std::string(kManifest).find("0 0"), 3,
+                                      "0\0 0"s),
+       "manifest.ini:6: bad pool entry '0\0 0 pool_0_0.csv'"s},
+  };
+  for (const auto& c : cases) {
+    const fs::path dir = write_trace_dir(c.tag, {{c.file, c.contents}});
+    const std::string error = replay_trace(dir.string()).error;
+    EXPECT_NE(error.find(c.expected), std::string::npos)
+        << c.tag << ": " << error;
+    fs::remove_all(dir);
+  }
+}
+
 TEST(TraceLoad, PoolCsvHeaderDefectReadsAlikeInEveryLoader) {
   // A wrong schema is fatal even while tailing: replay, plan and follow
   // check a pool CSV's header with the same telemetry function, so each
