@@ -181,13 +181,17 @@ std::size_t corrupt_trace_csvs(const std::string& dir,
     if (!in) {
       throw std::runtime_error("corrupt_trace_csvs: cannot open " + pool.path);
     }
-    std::vector<std::string> out_lines;
+    std::string rewritten;
+    const auto emit = [&rewritten](const std::string& row) {
+      rewritten += row;
+      rewritten += '\n';
+    };
     std::string line;
     bool header = true;
     std::string held_row;  // out_of_order swap slot.
     while (telemetry::read_csv_line(in, &line)) {
       if (header) {
-        out_lines.push_back(line);
+        emit(line);
         header = false;
         continue;
       }
@@ -195,7 +199,7 @@ std::size_t corrupt_trace_csvs(const std::string& dir,
       std::int64_t start = 0;
       const std::size_t comma = line.find(',');
       if (!telemetry::parse_int64(line.substr(0, comma), &start)) {
-        out_lines.push_back(line);
+        emit(line);
         continue;
       }
       bool dropped = false;
@@ -223,7 +227,7 @@ std::size_t corrupt_trace_csvs(const std::string& dir,
             break;
           }
           case FaultKind::kDuplicateWindow:
-            out_lines.push_back(line);
+            emit(line);
             break;
           case FaultKind::kCorruptRow:
             line = "<<corrupt telemetry row " + std::to_string(start) + ">>";
@@ -247,27 +251,23 @@ std::size_t corrupt_trace_csvs(const std::string& dir,
         if (held_row.empty()) {
           held_row = line;
         } else {
-          out_lines.push_back(line);
-          out_lines.push_back(held_row);
+          emit(line);
+          emit(held_row);
           held_row.clear();
         }
         continue;
       }
       if (!held_row.empty()) {
-        out_lines.push_back(held_row);
+        emit(held_row);
         held_row.clear();
       }
-      out_lines.push_back(line);
+      emit(line);
     }
-    if (!held_row.empty()) out_lines.push_back(held_row);
+    if (!held_row.empty()) emit(held_row);
     in.close();
 
-    std::ofstream out(pool.path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      throw std::runtime_error("corrupt_trace_csvs: cannot rewrite " +
-                               pool.path);
-    }
-    for (const std::string& l : out_lines) out << l << '\n';
+    const std::string problem = write_text_file(pool.path, rewritten);
+    if (!problem.empty()) throw std::runtime_error(problem);
   }
   return changed;
 }

@@ -20,8 +20,10 @@
 //     quarantined and counted, never crashes.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <unistd.h>
 
+#include <csignal>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -292,6 +294,46 @@ TEST_F(DamagedTrace, CorruptTraceCsvsSurviveAsQuarantineAndHealing) {
   EXPECT_EQ(report.find("quarantined_nan=0 "), std::string::npos) << report;
   EXPECT_EQ(report.find("malformed_rows=0 "), std::string::npos) << report;
   EXPECT_EQ(report.find("realigned=0 "), std::string::npos) << report;
+  fs::remove_all(dir);
+}
+
+TEST_F(DamagedTrace, CorruptTraceCsvsReportsARewriteThatFails) {
+  // The rewrite is checked after it is flushed: a write that fails throws
+  // write_text_file's message instead of leaving a truncated CSV. A
+  // file-size limit on this process fails the write after the open
+  // succeeds. (A pool CSV linked to /dev/full would not do: the CSV is
+  // read before it is rewritten, and reading /dev/full never ends.)
+  const fs::path dir = clone_trace("headroom_corrupt_unwritable");
+  ParseResult parsed = load_library_scenario("reduction_mid_run");
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  FaultSpec gap;
+  gap.kind = FaultKind::kTelemetryGap;
+  gap.datacenter = 0;
+  gap.pool = 0;
+  gap.start_hour = 10.0;
+  gap.duration_hours = 0.1;
+  parsed.spec.faults.push_back(gap);
+
+  constexpr rlim_t kCap = 4096;  // Far below the pool CSV's size.
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+  if (saved.rlim_cur != RLIM_INFINITY && saved.rlim_cur <= kCap) {
+    GTEST_SKIP() << "file-size limit already below " << kCap << " bytes";
+  }
+  rlimit capped = saved;
+  capped.rlim_cur = kCap;
+  const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &capped), 0);
+  std::string message;
+  try {
+    (void)corrupt_trace_csvs(dir.string(), parsed.spec);
+  } catch (const std::runtime_error& e) {
+    message = e.what();
+  }
+  ::setrlimit(RLIMIT_FSIZE, &saved);
+  std::signal(SIGXFSZ, old_handler);
+  EXPECT_EQ(message,
+            "cannot write '" + (dir / "pool_0_0.csv").string() + "'");
   fs::remove_all(dir);
 }
 
