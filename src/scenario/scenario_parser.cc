@@ -1,12 +1,16 @@
 #include "scenario/scenario_parser.h"
 
+#include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <set>
+#include <iterator>
+#include <limits>
+#include <optional>
 #include <sstream>
+#include <type_traits>
 #include <vector>
 
 #include "sim/failover.h"
@@ -41,6 +45,470 @@ namespace {
   return out;
 }
 
+[[nodiscard]] std::string join(const std::vector<std::string>& items,
+                               std::string_view sep) {
+  std::string out;
+  for (const std::string& item : items) {
+    if (!out.empty()) out += sep;
+    out += item;
+  }
+  return out;
+}
+
+// Both number parsers must consume the whole value: strto* stops at an
+// embedded NUL, which would otherwise accept "5\0junk" as 5.
+
+[[nodiscard]] bool parse_u64(const std::string& text, std::uint64_t* out) {
+  if (text.empty() || text[0] == '-' || text[0] == '+') return false;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
+  if (end != text.c_str() + text.size() || errno == ERANGE) return false;
+  *out = v;
+  return true;
+}
+
+[[nodiscard]] bool parse_double(const std::string& text, double* out) {
+  if (text.empty()) return false;
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(text.c_str(), &end);
+  if (end != text.c_str() + text.size() || errno == ERANGE ||
+      !std::isfinite(v)) {
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
+// --- The grammar ------------------------------------------------------------
+//
+// Each section's keys are one table of Key rows: the key, the kinds it
+// applies to, the values it accepts and the field it reads and writes. The
+// parser looks keys up in these tables, and serialize_scenario walks the
+// same rows in order, so a row's position is its place in the canonical form.
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// The values a key accepts: lo..hi less `except` (an open bound; NaN
+/// excludes nothing). `expected` ends a bad value's diagnostic; for a text
+/// key it is the whole diagnostic for an empty value (empty: any text).
+struct Rule {
+  std::string_view expected;
+  double lo = -kInf;
+  double hi = kInf;
+  double except = std::numeric_limits<double>::quiet_NaN();
+
+  [[nodiscard]] constexpr bool accepts(double v) const noexcept {
+    return v >= lo && v <= hi && v != except;
+  }
+};
+
+constexpr Rule kTrueOrFalse{"true or false"};
+constexpr Rule kPositive{"positive number", 0.0, kInf, 0.0};
+constexpr Rule kNonNegative{"non-negative number", 0.0};
+constexpr Rule kServerCount{"integer 1..1000000", 1, 1000000};
+constexpr Rule kPoolIndex{"index 0..63", 0, 63};
+
+/// How a row reads its value into the section's object and writes it back.
+template <typename T>
+struct Access {
+  /// Sets the field from `value`; returns "" or the diagnostic.
+  std::string (*set)(T& obj, const std::string& value, std::string_view key,
+                     const Rule& rule);
+  /// The value as written, or nullopt where the key is left out.
+  std::optional<std::string> (*get)(const T& obj);
+};
+
+template <typename T>
+struct Key {
+  std::string_view name;
+  std::uint8_t kinds;  ///< Bit k: the key applies to kind k (see kind_of).
+  Rule rule;
+  Access<T> access;
+};
+
+constexpr std::uint8_t kAllKinds = 0xFF;
+
+template <typename Enum>
+constexpr std::uint8_t bit(Enum kind) noexcept {
+  return static_cast<std::uint8_t>(1u << static_cast<unsigned>(kind));
+}
+
+/// The kind a section's key set depends on, as the diagnostics name it.
+struct KindOf {
+  std::string_view noun;
+  std::string_view name;
+  std::uint8_t bit = kAllKinds;
+};
+
+KindOf kind_of(const ScenarioSpec& spec) {
+  return {"fleet", to_string(spec.fleet), bit(spec.fleet)};
+}
+KindOf kind_of(const ScenarioEvent& event) {
+  return {"event", to_string(event.kind), bit(event.kind)};
+}
+KindOf kind_of(const FaultSpec& fault) {
+  return {"fault", to_string(fault.kind), bit(fault.kind)};
+}
+template <typename T>
+KindOf kind_of(const T&) {
+  return {};
+}
+
+[[nodiscard]] std::string not_valid(std::string_view key, const KindOf& kind) {
+  return "key '" + std::string(key) + "' is not valid for " +
+         std::string(kind.noun) + " kind '" + std::string(kind.name) + "'";
+}
+
+// Value reading and writing by field type.
+
+bool read_value(const std::string& text, const Rule& rule, double* out) {
+  double v = 0.0;
+  if (!parse_double(text, &v) || !rule.accepts(v)) return false;
+  *out = v;
+  return true;
+}
+
+template <typename Int>
+  requires(std::is_integral_v<Int> && !std::is_same_v<Int, bool>)
+bool read_value(const std::string& text, const Rule& rule, Int* out) {
+  std::uint64_t v = 0;
+  if (!parse_u64(text, &v) || !rule.accepts(static_cast<double>(v))) {
+    return false;
+  }
+  *out = static_cast<Int>(v);
+  return true;
+}
+
+bool read_value(const std::string& text, const Rule&, bool* out) {
+  if (text != "true" && text != "1" && text != "false" && text != "0") {
+    return false;
+  }
+  *out = text == "true" || text == "1";
+  return true;
+}
+
+bool read_value(const std::string& text, const Rule&,
+                sim::FailoverPolicyKind* out) {
+  return sim::failover_policy_from_string(text, *out);
+}
+
+template <typename V>
+bool read_value(const std::string& text, const Rule& rule,
+                std::optional<V>* out) {
+  V v{};
+  if (!read_value(text, rule, &v)) return false;
+  *out = v;
+  return true;
+}
+
+// Shortest-roundtrip doubles, shared with the CSV trace exporter so
+// scenario files and traces pin the same byte representation of a double.
+std::string write_value(double v) { return telemetry::format_double(v); }
+std::string write_value(bool v) { return v ? "true" : "false"; }
+std::string write_value(const std::string& v) { return v; }
+
+template <typename Int>
+  requires(std::is_integral_v<Int> && !std::is_same_v<Int, bool>)
+std::string write_value(Int v) {
+  return std::to_string(v);
+}
+
+template <typename Enum>
+  requires std::is_enum_v<Enum>
+std::string write_value(Enum v) {
+  return std::string(to_string(v));
+}
+
+template <typename T, typename V>
+T owner_of(V T::*);
+template <typename T, typename V>
+V value_of(V T::*);
+template <auto M>
+using OwnerOf = decltype(owner_of(M));
+template <auto M>
+using ValueOf = decltype(value_of(M));
+
+template <typename>
+constexpr bool kIsOptional = false;
+template <typename V>
+constexpr bool kIsOptional<std::optional<V>> = true;
+
+template <auto M>
+std::string set_field(OwnerOf<M>& obj, const std::string& value,
+                      std::string_view key, const Rule& rule) {
+  if constexpr (std::is_same_v<ValueOf<M>, std::string>) {
+    if (value.empty() && !rule.expected.empty()) {
+      return std::string(rule.expected);
+    }
+    obj.*M = value;
+    return "";
+  } else {
+    if (read_value(value, rule, &(obj.*M))) return "";
+    return "bad value '" + value + "' for '" + std::string(key) +
+           "' (expected " + std::string(rule.expected) + ")";
+  }
+}
+
+/// An unset optional is left out, and so is a `kOmit` field that holds
+/// its default: every file that never set it stays byte-identical.
+template <auto M, bool kOmit>
+std::optional<std::string> get_field(const OwnerOf<M>& obj) {
+  const ValueOf<M>& v = obj.*M;
+  if constexpr (kIsOptional<ValueOf<M>>) {
+    if (!v) return std::nullopt;
+    return write_value(*v);
+  } else {
+    if (kOmit && v == OwnerOf<M>{}.*M) return std::nullopt;
+    return write_value(v);
+  }
+}
+
+constexpr bool kOmitDefault = true;
+
+/// The Access of a plain field: `value` is read and written by its type.
+template <auto M, bool kOmit = false>
+constexpr Access<OwnerOf<M>> field{&set_field<M>, &get_field<M, kOmit>};
+
+template <auto M, auto kFromString>
+std::string set_kind(OwnerOf<M>& obj, const std::string& value,
+                     std::string_view, const Rule& rule) {
+  const auto kind = kFromString(value);
+  if (!kind) {
+    return "unknown " + std::string(kind_of(obj).noun) + " kind '" + value +
+           "' (expected " + std::string(rule.expected) + ")";
+  }
+  obj.*M = *kind;
+  return "";
+}
+
+/// The Access of a section's `kind` key.
+template <auto M, auto kFromString>
+constexpr Access<OwnerOf<M>> kind_field{&set_kind<M, kFromString>,
+                                        &get_field<M, false>};
+
+// Keys with their own syntax.
+
+std::string set_steps(ScenarioSpec& spec, const std::string& value,
+                      std::string_view, const Rule& rule) {
+  std::uint8_t steps = 0;
+  for (const std::string& item : split_list(value, ',')) {
+    const auto step = pipeline_step_from_string(item);
+    if (!step) {
+      return "unknown step '" + item + "' (expected " +
+             std::string(rule.expected) + ")";
+    }
+    steps |= step_bit(*step);
+  }
+  if (steps == 0) {
+    return "steps must be a non-empty comma list of " +
+           std::string(rule.expected);
+  }
+  spec.steps = steps;
+  return "";
+}
+
+std::optional<std::string> get_steps(const ScenarioSpec& spec) {
+  std::vector<std::string> steps;
+  for (const PipelineStep step : kPipelineSteps) {
+    if (spec.runs(step)) steps.emplace_back(to_string(step));
+  }
+  return join(steps, ",");
+}
+
+std::string set_services(ScenarioSpec& spec, const std::string& value,
+                         std::string_view, const Rule& rule) {
+  spec.services = split_list(value, ',');
+  if (spec.services.empty()) return std::string(rule.expected);
+  return "";
+}
+
+std::optional<std::string> get_services(const ScenarioSpec& spec) {
+  if (spec.services.empty()) return std::nullopt;
+  return join(spec.services, ",");
+}
+
+/// An event's datacenter: an index, or `all` (nullopt) for every one.
+std::string set_event_datacenter(ScenarioEvent& event, const std::string& value,
+                                 std::string_view key, const Rule& rule) {
+  if (value == "all") {
+    event.datacenter.reset();
+    return "";
+  }
+  return set_field<&ScenarioEvent::datacenter>(event, value, key, rule);
+}
+
+std::optional<std::string> get_event_datacenter(const ScenarioEvent& event) {
+  return get_field<&ScenarioEvent::datacenter, false>(event).value_or("all");
+}
+
+std::string set_expect(ScenarioAssertion& assertion, const std::string& value,
+                       std::string_view, const Rule&) {
+  const std::vector<std::string> words = split_list(value, ' ');
+  if (words.size() != 3) {
+    return "bad assertion '" + value + "' (expected 'metric OP value')";
+  }
+  constexpr AssertOp kOps[] = {AssertOp::kGe, AssertOp::kLe, AssertOp::kGt,
+                               AssertOp::kLt, AssertOp::kEq, AssertOp::kNe};
+  const auto* op = std::find_if(
+      std::begin(kOps), std::end(kOps),
+      [&](AssertOp o) { return to_string(o) == words[1]; });
+  if (op == std::end(kOps)) {
+    return "unknown operator '" + words[1] +
+           "' in assertion (expected >=, <=, >, <, ==, !=)";
+  }
+  if (!parse_double(words[2], &assertion.value)) {
+    return "bad assertion value '" + words[2] + "' (expected a number)";
+  }
+  assertion.metric = words[0];
+  assertion.op = *op;
+  return "";
+}
+
+std::optional<std::string> get_expect(const ScenarioAssertion& assertion) {
+  return assertion.metric + " " + std::string(to_string(assertion.op)) + " " +
+         write_value(assertion.value);
+}
+
+// Keys that more than one section spells (the first two also name the
+// [datacenter N] and [pool DC POOL] sections).
+constexpr std::string_view kDatacenter = "datacenter";
+constexpr std::string_view kPool = "pool";
+constexpr std::string_view kKind = "kind";
+constexpr std::string_view kServers = "servers";
+constexpr std::string_view kStartHour = "start_hour";
+constexpr std::string_view kDurationHours = "duration_hours";
+
+constexpr Key<ScenarioSpec> kScenarioKeys[] = {
+    {"name", kAllKinds, {"scenario name is empty"},
+     field<&ScenarioSpec::name>},
+    {"description", kAllKinds, {},
+     field<&ScenarioSpec::description, kOmitDefault>},
+    {"seed", kAllKinds, {"unsigned integer"}, field<&ScenarioSpec::seed>},
+    {"days", kAllKinds, {"integer 1..3650", 1, 3650},
+     field<&ScenarioSpec::days>},
+    {"threads", kAllKinds, {"integer 0..4096", 0, 4096},
+     field<&ScenarioSpec::threads>},
+    {"window_seconds", kAllKinds, {"integer 1..86400", 1, 86400},
+     field<&ScenarioSpec::window_seconds>},
+    // Large-fleet stepping knobs and the failover policy are written only
+    // when set away from the default the simulator goldens pin.
+    {"quiescent_dead_band", kAllKinds,
+     {"number 0..1 (0 = exact stepping)", 0.0, 1.0, 1.0},
+     field<&ScenarioSpec::quiescent_dead_band, kOmitDefault>},
+    {"per_server_accounting", kAllKinds, kTrueOrFalse,
+     field<&ScenarioSpec::per_server_accounting, kOmitDefault>},
+    {"failover", kAllKinds, {"nearest_survivor, latency_aware, cost_aware"},
+     field<&ScenarioSpec::failover, kOmitDefault>},
+    {"steps", kAllKinds, {"measure, optimize, model, validate"},
+     {&set_steps, &get_steps}},
+};
+
+constexpr std::uint8_t kPerPoolFleets =
+    bit(FleetKind::kSinglePool) | bit(FleetKind::kMultiDc);
+
+constexpr Key<ScenarioSpec> kFleetKeys[] = {
+    {kKind, kAllKinds, {"single_pool, multi_dc, standard"},
+     kind_field<&ScenarioSpec::fleet, &fleet_kind_from_string>},
+    {"datacenters", bit(FleetKind::kMultiDc), {"integer 1..9", 1, 9},
+     field<&ScenarioSpec::datacenters>},
+    {"services", bit(FleetKind::kStandard),
+     {"services must be a non-empty comma list"},
+     {&set_services, &get_services}},
+    {"regional_peak_rps", bit(FleetKind::kStandard), kPositive,
+     field<&ScenarioSpec::regional_peak_rps>},
+    {"heterogeneous", bit(FleetKind::kStandard), kTrueOrFalse,
+     field<&ScenarioSpec::heterogeneous>},
+    {"service", kPerPoolFleets, {"fleet service is empty"},
+     field<&ScenarioSpec::service>},
+    {kServers, kPerPoolFleets, kServerCount, field<&ScenarioSpec::servers>},
+};
+
+constexpr Key<DatacenterOverride> kDatacenterKeys[] = {
+    {"demand_weight", kAllKinds, kPositive,
+     field<&DatacenterOverride::demand_weight>},
+    {"timezone_offset_hours", kAllKinds, {"number -12..14", -12.0, 14.0},
+     field<&DatacenterOverride::timezone_offset_hours>},
+};
+
+constexpr Key<PoolOverride> kPoolKeys[] = {
+    {kServers, kAllKinds, kServerCount, field<&PoolOverride::servers>},
+    {"demand_multiplier", kAllKinds, kPositive,
+     field<&PoolOverride::demand_multiplier>},
+    {"burst_multiplier", kAllKinds, kPositive,
+     field<&PoolOverride::burst_multiplier>},
+    {"burst_start_hour", kAllKinds, {"number 0..24", 0.0, 24.0, 24.0},
+     field<&PoolOverride::burst_start_hour>},
+    {"burst_hours", kAllKinds, {"number 0..24", 0.0, 24.0},
+     field<&PoolOverride::burst_hours>},
+};
+
+constexpr std::uint8_t kPoolEvents = bit(ScenarioEventKind::kMaintenanceWave) |
+                                     bit(ScenarioEventKind::kServingReduction);
+
+constexpr Key<ScenarioEvent> kEventKeys[] = {
+    {kKind, kAllKinds,
+     {"traffic_multiplier, outage, maintenance_wave, serving_reduction"},
+     kind_field<&ScenarioEvent::kind, &event_kind_from_string>},
+    {kDatacenter, kAllKinds, {"index 0..8 or 'all'", 0, 8},
+     {&set_event_datacenter, &get_event_datacenter}},
+    {kPool, kPoolEvents, kPoolIndex, field<&ScenarioEvent::pool>},
+    {kStartHour, kAllKinds, kNonNegative, field<&ScenarioEvent::start_hour>},
+    {kDurationHours,
+     static_cast<std::uint8_t>(~bit(ScenarioEventKind::kServingReduction)),
+     kNonNegative, field<&ScenarioEvent::duration_hours>},
+    {"multiplier", bit(ScenarioEventKind::kTrafficMultiplier), kPositive,
+     field<&ScenarioEvent::multiplier>},
+    {"offline_fraction", bit(ScenarioEventKind::kMaintenanceWave),
+     {"number in (0, 1]", 0.0, 1.0, 0.0},
+     field<&ScenarioEvent::offline_fraction>},
+    {"serving", bit(ScenarioEventKind::kServingReduction), kServerCount,
+     field<&ScenarioEvent::serving>},
+};
+
+/// A feed stall freezes every pool's feed, so it takes no pool target.
+constexpr std::uint8_t kPoolFaults =
+    static_cast<std::uint8_t>(~bit(FaultKind::kFeedStall));
+
+constexpr Key<FaultSpec> kFaultKeys[] = {
+    {kKind, kAllKinds,
+     {"telemetry_gap, nan_burst, duplicate_window, out_of_order_window, "
+      "corrupt_row, feed_stall, clock_skew"},
+     kind_field<&FaultSpec::kind, &fault_kind_from_string>},
+    {kDatacenter, kPoolFaults, {"index 0..8", 0, 8},
+     field<&FaultSpec::datacenter>},
+    {kPool, kPoolFaults, kPoolIndex, field<&FaultSpec::pool>},
+    {kStartHour, kAllKinds, kNonNegative, field<&FaultSpec::start_hour>},
+    {kDurationHours, kAllKinds, kPositive, field<&FaultSpec::duration_hours>},
+    {"skew_seconds", bit(FaultKind::kClockSkew),
+     {"non-zero number", -kInf, kInf, 0.0}, field<&FaultSpec::skew_seconds>},
+};
+
+constexpr Key<ScenarioAssertion> kAssertKeys[] = {
+    {"expect", kAllKinds, {}, {&set_expect, &get_expect}},
+};
+
+// [event] and [fault] take `kind` first, and it is their first row.
+static_assert(kEventKeys[0].name == kKind && kFaultKeys[0].name == kKind);
+
+/// The most keys any section has; sizes the parser's per-key line slots.
+constexpr std::size_t kMaxKeys = std::size(kScenarioKeys);
+
+template <typename T, std::size_t N>
+void write_keys(std::string& out, const Key<T> (&table)[N], const T& obj) {
+  const std::uint8_t kind = kind_of(obj).bit;
+  for (const Key<T>& key : table) {
+    if ((key.kinds & kind) == 0) continue;
+    if (const std::optional<std::string> value = key.access.get(obj)) {
+      out += key.name;
+      out += " = ";
+      out += *value;
+      out += '\n';
+    }
+  }
+}
+
 enum class Section {
   kNone,
   kScenario,
@@ -52,6 +520,12 @@ enum class Section {
   kAssert,
 };
 
+/// How diagnostics name each Section, in enum order.
+constexpr std::string_view kSectionNames[] = {
+    "",       "[scenario]", "[fleet]", "[datacenter]",
+    "[pool]", "[event]",    "[fault]", "[assert]",
+};
+
 class Parser {
  public:
   Parser(std::string_view text, std::string_view source)
@@ -59,8 +533,7 @@ class Parser {
 
   ParseResult run() {
     std::size_t pos = 0;
-    while (pos <= text_.size() && error_.empty()) {
-      if (pos == text_.size()) break;
+    while (pos < text_.size() && error_.empty()) {
       std::size_t eol = text_.find('\n', pos);
       if (eol == std::string_view::npos) eol = text_.size();
       ++line_;
@@ -108,22 +581,23 @@ class Parser {
     }
     const std::string key{trim(line.substr(0, eq))};
     const std::string value{trim(line.substr(eq + 1))};
-    if (section_ == Section::kNone) {
-      fail("key '" + key + "' before any section");
-      return;
+    switch (section_) {
+      case Section::kScenario: return handle_key(kScenarioKeys, spec_, key, value);
+      case Section::kFleet: return handle_key(kFleetKeys, spec_, key, value);
+      case Section::kDatacenter: return handle_key(kDatacenterKeys, dc_, key, value);
+      case Section::kPool: return handle_key(kPoolKeys, pool_, key, value);
+      case Section::kEvent: return handle_key(kEventKeys, event_, key, value);
+      case Section::kFault: return handle_key(kFaultKeys, fault_, key, value);
+      case Section::kAssert: return handle_key(kAssertKeys, assert_, key, value);
+      case Section::kNone: return fail("key '" + key + "' before any section");
     }
-    if (!seen_keys_.insert(key).second) {
-      fail("duplicate key '" + key + "' in " + section_name_);
-      return;
-    }
-    handle_key(key, value);
   }
 
   void open_section(std::string_view header) {
     const std::vector<std::string> words = split_list(header, ' ');
     const std::string name = words.empty() ? std::string() : words[0];
     section_line_ = line_;
-    seen_keys_.clear();
+    key_line_.fill(0);
     if (name == "scenario" && words.size() == 1) {
       if (seen_scenario_) return fail("duplicate [scenario] section");
       seen_scenario_ = true;
@@ -132,7 +606,7 @@ class Parser {
       if (seen_fleet_) return fail("duplicate [fleet] section");
       seen_fleet_ = true;
       section_ = Section::kFleet;
-    } else if (name == "datacenter") {
+    } else if (name == kDatacenter) {
       std::uint64_t index = 0;
       if (words.size() != 2 || !parse_u64(words[1], &index) || index > 8) {
         return fail("[datacenter] needs a datacenter index 0..8");
@@ -140,7 +614,7 @@ class Parser {
       section_ = Section::kDatacenter;
       dc_ = DatacenterOverride{};
       dc_.datacenter = static_cast<std::uint32_t>(index);
-    } else if (name == "pool") {
+    } else if (name == kPool) {
       std::uint64_t dc = 0;
       std::uint64_t pool = 0;
       if (words.size() != 3 || !parse_u64(words[1], &dc) ||
@@ -154,15 +628,12 @@ class Parser {
     } else if (name == "event" && words.size() == 1) {
       section_ = Section::kEvent;
       event_ = ScenarioEvent{};
-      event_has_kind_ = false;
     } else if (name == "fault" && words.size() == 1) {
       section_ = Section::kFault;
       fault_ = FaultSpec{};
-      fault_has_kind_ = false;
     } else if (name == "assert" && words.size() == 1) {
       section_ = Section::kAssert;
       assert_ = ScenarioAssertion{};
-      assert_has_expect_ = false;
     } else {
       fail("unknown section '[" + std::string(header) + "]'");
     }
@@ -170,450 +641,82 @@ class Parser {
 
   /// Closes the current section, committing repeatable-section objects.
   void finish_section() {
-    const int at = section_line_;
     switch (section_) {
-      case Section::kDatacenter:
-        spec_.datacenter_overrides.push_back(dc_);
-        break;
-      case Section::kPool:
-        spec_.pool_overrides.push_back(pool_);
-        break;
-      case Section::kEvent:
-        if (!event_has_kind_) {
-          line_ = at;
-          fail("[event] missing required key 'kind'");
-          return;
-        }
-        spec_.events.push_back(event_);
-        break;
-      case Section::kFault:
-        if (!fault_has_kind_) {
-          line_ = at;
-          fail("[fault] missing required key 'kind'");
-          return;
-        }
-        spec_.faults.push_back(fault_);
-        break;
-      case Section::kAssert:
-        if (!assert_has_expect_) {
-          line_ = at;
-          fail("[assert] missing required key 'expect'");
-          return;
-        }
-        spec_.assertions.push_back(assert_);
-        break;
+      case Section::kFleet: check_fleet_kinds(); break;
+      case Section::kDatacenter: spec_.datacenter_overrides.push_back(dc_); break;
+      case Section::kPool: spec_.pool_overrides.push_back(pool_); break;
+      case Section::kEvent: commit(kEventKeys, event_, spec_.events); break;
+      case Section::kFault: commit(kFaultKeys, fault_, spec_.faults); break;
+      case Section::kAssert: commit(kAssertKeys, assert_, spec_.assertions); break;
       case Section::kNone:
       case Section::kScenario:
-      case Section::kFleet:
         break;
     }
     section_ = Section::kNone;
-    section_name_.clear();
   }
 
-  void handle_key(const std::string& key, const std::string& value) {
-    switch (section_) {
-      case Section::kScenario: return scenario_key(key, value);
-      case Section::kFleet: return fleet_key(key, value);
-      case Section::kDatacenter: return datacenter_key(key, value);
-      case Section::kPool: return pool_key(key, value);
-      case Section::kEvent: return event_key(key, value);
-      case Section::kFault: return fault_key(key, value);
-      case Section::kAssert: return assert_key(key, value);
-      case Section::kNone: break;
-    }
+  [[nodiscard]] std::string section_name() const {
+    return std::string(kSectionNames[static_cast<std::size_t>(section_)]);
   }
 
-  void scenario_key(const std::string& key, const std::string& value) {
-    section_name_ = "[scenario]";
-    if (key == "name") {
-      if (value.empty()) return fail("scenario name is empty");
-      spec_.name = value;
-    } else if (key == "description") {
-      spec_.description = value;
-    } else if (key == "seed") {
-      std::uint64_t v = 0;
-      if (!parse_u64(value, &v)) return bad_value(key, value, "unsigned integer");
-      spec_.seed = v;
-    } else if (key == "days") {
-      std::uint64_t v = 0;
-      if (!parse_u64(value, &v) || v < 1 || v > 3650) {
-        return bad_value(key, value, "integer 1..3650");
-      }
-      spec_.days = static_cast<std::int64_t>(v);
-    } else if (key == "threads") {
-      std::uint64_t v = 0;
-      if (!parse_u64(value, &v) || v > 4096) {
-        return bad_value(key, value, "integer 0..4096");
-      }
-      spec_.threads = v;
-    } else if (key == "window_seconds") {
-      std::uint64_t v = 0;
-      if (!parse_u64(value, &v) || v < 1 || v > 86400) {
-        return bad_value(key, value, "integer 1..86400");
-      }
-      spec_.window_seconds = static_cast<telemetry::SimTime>(v);
-    } else if (key == "steps") {
-      std::uint8_t steps = 0;
-      for (const std::string& item : split_list(value, ',')) {
-        const auto step = pipeline_step_from_string(item);
-        if (!step) {
-          return fail("unknown step '" + item +
-                      "' (expected measure, optimize, model, validate)");
-        }
-        steps |= step_bit(*step);
-      }
-      if (steps == 0) {
-        return fail("steps must be a non-empty comma list of "
-                    "measure, optimize, model, validate");
-      }
-      spec_.steps = steps;
-    } else if (key == "quiescent_dead_band") {
-      double v = 0.0;
-      if (!parse_double(value, &v) || v < 0.0 || v >= 1.0) {
-        return bad_value(key, value, "number 0..1 (0 = exact stepping)");
-      }
-      spec_.quiescent_dead_band = v;
-    } else if (key == "per_server_accounting") {
-      if (!parse_bool(value, &spec_.per_server_accounting)) {
-        return bad_value(key, value, "true or false");
-      }
-    } else if (key == "failover") {
-      sim::FailoverPolicyKind kind{};
-      if (!sim::failover_policy_from_string(value, kind)) {
-        return bad_value(key, value,
-                         "nearest_survivor, latency_aware, cost_aware");
-      }
-      spec_.failover = kind;
-    } else {
-      fail("unknown key '" + key + "' in [scenario]");
-    }
+  /// Commits a repeatable section, whose first row's key is required.
+  template <typename T, std::size_t N>
+  void commit(const Key<T> (&table)[N], const T& obj, std::vector<T>& list) {
+    if (key_line_[0] != 0) return list.push_back(obj);
+    line_ = section_line_;
+    fail(section_name() + " missing required key '" +
+         std::string(table[0].name) + "'");
   }
 
-  void fleet_key(const std::string& key, const std::string& value) {
-    section_name_ = "[fleet]";
-    if (key == "kind") {
-      const auto kind = fleet_kind_from_string(value);
-      if (!kind) {
-        return fail("unknown fleet kind '" + value +
-                    "' (expected single_pool, multi_dc, standard)");
+  /// [fleet] keys may precede `kind`, so the kind check waits for the
+  /// section's end. A key the kind does not take would be dropped by
+  /// serialize_scenario; it is reported at its own line.
+  void check_fleet_kinds() {
+    const KindOf kind = kind_of(spec_);
+    const Key<ScenarioSpec>* off_kind = nullptr;
+    int at = 0;
+    for (std::size_t i = 0; i < std::size(kFleetKeys); ++i) {
+      const int line = key_line_[i];
+      if (line != 0 && (kFleetKeys[i].kinds & kind.bit) == 0 &&
+          (off_kind == nullptr || line < at)) {
+        off_kind = &kFleetKeys[i];
+        at = line;
       }
-      spec_.fleet = *kind;
-    } else if (key == "service") {
-      if (value.empty()) return fail("fleet service is empty");
-      spec_.service = value;
-    } else if (key == "servers") {
-      std::uint64_t v = 0;
-      if (!parse_u64(value, &v) || v < 1 || v > 1000000) {
-        return bad_value(key, value, "integer 1..1000000");
-      }
-      spec_.servers = v;
-    } else if (key == "datacenters") {
-      std::uint64_t v = 0;
-      if (!parse_u64(value, &v) || v < 1 || v > 9) {
-        return bad_value(key, value, "integer 1..9");
-      }
-      spec_.datacenters = v;
-    } else if (key == "services") {
-      spec_.services = split_list(value, ',');
-      if (spec_.services.empty()) {
-        return fail("services must be a non-empty comma list");
-      }
-    } else if (key == "regional_peak_rps") {
-      double v = 0.0;
-      if (!parse_double(value, &v) || v <= 0.0) {
-        return bad_value(key, value, "positive number");
-      }
-      spec_.regional_peak_rps = v;
-    } else if (key == "heterogeneous") {
-      if (!parse_bool(value, &spec_.heterogeneous)) {
-        return bad_value(key, value, "true or false");
-      }
-    } else {
-      fail("unknown key '" + key + "' in [fleet]");
     }
+    if (off_kind == nullptr) return;
+    line_ = at;
+    fail(not_valid(off_kind->name, kind));
   }
 
-  void datacenter_key(const std::string& key, const std::string& value) {
-    section_name_ = "[datacenter]";
-    double v = 0.0;
-    if (key == "demand_weight") {
-      if (!parse_double(value, &v) || v <= 0.0) {
-        return bad_value(key, value, "positive number");
-      }
-      dc_.demand_weight = v;
-    } else if (key == "timezone_offset_hours") {
-      if (!parse_double(value, &v) || v < -12.0 || v > 14.0) {
-        return bad_value(key, value, "number -12..14");
-      }
-      dc_.timezone_offset_hours = v;
-    } else {
-      fail("unknown key '" + key + "' in [datacenter]");
+  template <typename T, std::size_t N>
+  void handle_key(const Key<T> (&table)[N], T& obj, const std::string& key,
+                  const std::string& value) {
+    static_assert(N <= kMaxKeys);
+    const Key<T>* row = std::find_if(
+        std::begin(table), std::end(table),
+        [&](const Key<T>& k) { return k.name == key; });
+    if (row == std::end(table)) row = nullptr;
+    int* line = row == nullptr ? nullptr : &key_line_[row - table];
+    if (line != nullptr && *line != 0) {
+      return fail("duplicate key '" + key + "' in " + section_name());
     }
-  }
-
-  void pool_key(const std::string& key, const std::string& value) {
-    section_name_ = "[pool]";
-    double v = 0.0;
-    if (key == "servers") {
-      std::uint64_t n = 0;
-      if (!parse_u64(value, &n) || n < 1 || n > 1000000) {
-        return bad_value(key, value, "integer 1..1000000");
+    if constexpr (std::is_same_v<T, ScenarioEvent> ||
+                  std::is_same_v<T, FaultSpec>) {
+      if (key != kKind && key_line_[0] == 0) {
+        return fail("'kind' must be the first key in " + section_name());
       }
-      pool_.servers = n;
-    } else if (key == "demand_multiplier") {
-      if (!parse_double(value, &v) || v <= 0.0) {
-        return bad_value(key, value, "positive number");
+      if (row == nullptr || (row->kinds & kind_of(obj).bit) == 0) {
+        return fail(not_valid(key, kind_of(obj)));
       }
-      pool_.demand_multiplier = v;
-    } else if (key == "burst_multiplier") {
-      if (!parse_double(value, &v) || v <= 0.0) {
-        return bad_value(key, value, "positive number");
-      }
-      pool_.burst_multiplier = v;
-    } else if (key == "burst_start_hour") {
-      if (!parse_double(value, &v) || v < 0.0 || v >= 24.0) {
-        return bad_value(key, value, "number 0..24");
-      }
-      pool_.burst_start_hour = v;
-    } else if (key == "burst_hours") {
-      if (!parse_double(value, &v) || v < 0.0 || v > 24.0) {
-        return bad_value(key, value, "number 0..24");
-      }
-      pool_.burst_hours = v;
-    } else {
-      fail("unknown key '" + key + "' in [pool]");
+    } else if (row == nullptr) {
+      // A one-key section names the key it expects.
+      return fail("unknown key '" + key + "' in " + section_name() +
+                  (N == 1 ? " (expected '" + std::string(table[0].name) + "')"
+                          : std::string()));
     }
-  }
-
-  void event_key(const std::string& key, const std::string& value) {
-    section_name_ = "[event]";
-    if (key == "kind") {
-      const auto kind = event_kind_from_string(value);
-      if (!kind) {
-        return fail("unknown event kind '" + value +
-                    "' (expected traffic_multiplier, outage, "
-                    "maintenance_wave, serving_reduction)");
-      }
-      event_.kind = *kind;
-      event_has_kind_ = true;
-      return;
-    }
-    if (!event_has_kind_) {
-      return fail("'kind' must be the first key in [event]");
-    }
-    if (!event_key_allowed(key)) {
-      return fail("key '" + key + "' is not valid for event kind '" +
-                  std::string(to_string(event_.kind)) + "'");
-    }
-    double v = 0.0;
-    if (key == "datacenter") {
-      if (value == "all") {
-        event_.datacenter.reset();
-        return;
-      }
-      std::uint64_t n = 0;
-      if (!parse_u64(value, &n) || n > 8) {
-        return bad_value(key, value, "index 0..8 or 'all'");
-      }
-      event_.datacenter = static_cast<std::uint32_t>(n);
-    } else if (key == "pool") {
-      std::uint64_t n = 0;
-      if (!parse_u64(value, &n) || n > 63) {
-        return bad_value(key, value, "index 0..63");
-      }
-      event_.pool = static_cast<std::uint32_t>(n);
-    } else if (key == "start_hour") {
-      if (!parse_double(value, &v) || v < 0.0) {
-        return bad_value(key, value, "non-negative number");
-      }
-      event_.start_hour = v;
-    } else if (key == "duration_hours") {
-      if (!parse_double(value, &v) || v < 0.0) {
-        return bad_value(key, value, "non-negative number");
-      }
-      event_.duration_hours = v;
-    } else if (key == "multiplier") {
-      if (!parse_double(value, &v) || v <= 0.0) {
-        return bad_value(key, value, "positive number");
-      }
-      event_.multiplier = v;
-    } else if (key == "offline_fraction") {
-      if (!parse_double(value, &v) || v <= 0.0 || v > 1.0) {
-        return bad_value(key, value, "number in (0, 1]");
-      }
-      event_.offline_fraction = v;
-    } else if (key == "serving") {
-      std::uint64_t n = 0;
-      if (!parse_u64(value, &n) || n < 1 || n > 1000000) {
-        return bad_value(key, value, "integer 1..1000000");
-      }
-      event_.serving = n;
-    }
-  }
-
-  [[nodiscard]] bool event_key_allowed(const std::string& key) const {
-    switch (event_.kind) {
-      case ScenarioEventKind::kTrafficMultiplier:
-        return key == "datacenter" || key == "start_hour" ||
-               key == "duration_hours" || key == "multiplier";
-      case ScenarioEventKind::kDatacenterOutage:
-        return key == "datacenter" || key == "start_hour" ||
-               key == "duration_hours";
-      case ScenarioEventKind::kMaintenanceWave:
-        return key == "datacenter" || key == "pool" || key == "start_hour" ||
-               key == "duration_hours" || key == "offline_fraction";
-      case ScenarioEventKind::kServingReduction:
-        return key == "datacenter" || key == "pool" || key == "start_hour" ||
-               key == "serving";
-    }
-    return false;
-  }
-
-  void fault_key(const std::string& key, const std::string& value) {
-    section_name_ = "[fault]";
-    if (key == "kind") {
-      const auto kind = fault_kind_from_string(value);
-      if (!kind) {
-        return fail("unknown fault kind '" + value +
-                    "' (expected telemetry_gap, nan_burst, duplicate_window, "
-                    "out_of_order_window, corrupt_row, feed_stall, "
-                    "clock_skew)");
-      }
-      fault_.kind = *kind;
-      fault_has_kind_ = true;
-      return;
-    }
-    if (!fault_has_kind_) {
-      return fail("'kind' must be the first key in [fault]");
-    }
-    if (!fault_key_allowed(key)) {
-      return fail("key '" + key + "' is not valid for fault kind '" +
-                  std::string(to_string(fault_.kind)) + "'");
-    }
-    double v = 0.0;
-    if (key == "datacenter") {
-      std::uint64_t n = 0;
-      if (!parse_u64(value, &n) || n > 8) {
-        return bad_value(key, value, "index 0..8");
-      }
-      fault_.datacenter = static_cast<std::uint32_t>(n);
-    } else if (key == "pool") {
-      std::uint64_t n = 0;
-      if (!parse_u64(value, &n) || n > 63) {
-        return bad_value(key, value, "index 0..63");
-      }
-      fault_.pool = static_cast<std::uint32_t>(n);
-    } else if (key == "start_hour") {
-      if (!parse_double(value, &v) || v < 0.0) {
-        return bad_value(key, value, "non-negative number");
-      }
-      fault_.start_hour = v;
-    } else if (key == "duration_hours") {
-      if (!parse_double(value, &v) || v <= 0.0) {
-        return bad_value(key, value, "positive number");
-      }
-      fault_.duration_hours = v;
-    } else if (key == "skew_seconds") {
-      if (!parse_double(value, &v) || v == 0.0) {
-        return bad_value(key, value, "non-zero number");
-      }
-      fault_.skew_seconds = v;
-    }
-  }
-
-  [[nodiscard]] bool fault_key_allowed(const std::string& key) const {
-    switch (fault_.kind) {
-      case FaultKind::kFeedStall:
-        return key == "start_hour" || key == "duration_hours";
-      case FaultKind::kClockSkew:
-        return key == "datacenter" || key == "pool" || key == "start_hour" ||
-               key == "duration_hours" || key == "skew_seconds";
-      case FaultKind::kTelemetryGap:
-      case FaultKind::kNanBurst:
-      case FaultKind::kDuplicateWindow:
-      case FaultKind::kOutOfOrderWindow:
-      case FaultKind::kCorruptRow:
-        return key == "datacenter" || key == "pool" || key == "start_hour" ||
-               key == "duration_hours";
-    }
-    return false;
-  }
-
-  void assert_key(const std::string& key, const std::string& value) {
-    section_name_ = "[assert]";
-    if (key != "expect") {
-      return fail("unknown key '" + key + "' in [assert] (expected 'expect')");
-    }
-    const std::vector<std::string> words = split_list(value, ' ');
-    if (words.size() != 3) {
-      return fail("bad assertion '" + value +
-                  "' (expected 'metric OP value')");
-    }
-    assert_.metric = words[0];
-    if (words[1] == ">=") {
-      assert_.op = AssertOp::kGe;
-    } else if (words[1] == "<=") {
-      assert_.op = AssertOp::kLe;
-    } else if (words[1] == ">") {
-      assert_.op = AssertOp::kGt;
-    } else if (words[1] == "<") {
-      assert_.op = AssertOp::kLt;
-    } else if (words[1] == "==") {
-      assert_.op = AssertOp::kEq;
-    } else if (words[1] == "!=") {
-      assert_.op = AssertOp::kNe;
-    } else {
-      return fail("unknown operator '" + words[1] +
-                  "' in assertion (expected >=, <=, >, <, ==, !=)");
-    }
-    if (!parse_double(words[2], &assert_.value)) {
-      return fail("bad assertion value '" + words[2] +
-                  "' (expected a number)");
-    }
-    assert_has_expect_ = true;
-  }
-
-  void bad_value(const std::string& key, const std::string& value,
-                 const std::string& expected) {
-    fail("bad value '" + value + "' for '" + key + "' (expected " + expected +
-         ")");
-  }
-
-  [[nodiscard]] static bool parse_u64(const std::string& text,
-                                      std::uint64_t* out) {
-    if (text.empty() || text[0] == '-' || text[0] == '+') return false;
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-    if (end == text.c_str() || *end != '\0' || errno == ERANGE) return false;
-    *out = v;
-    return true;
-  }
-
-  [[nodiscard]] static bool parse_double(const std::string& text, double* out) {
-    if (text.empty()) return false;
-    char* end = nullptr;
-    errno = 0;
-    const double v = std::strtod(text.c_str(), &end);
-    if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
-        !std::isfinite(v)) {
-      return false;
-    }
-    *out = v;
-    return true;
-  }
-
-  [[nodiscard]] static bool parse_bool(const std::string& text, bool* out) {
-    if (text == "true" || text == "1") {
-      *out = true;
-      return true;
-    }
-    if (text == "false" || text == "0") {
-      *out = false;
-      return true;
-    }
-    return false;
+    *line = line_;
+    const std::string problem = row->access.set(obj, value, row->name, row->rule);
+    if (!problem.empty()) fail(problem);
   }
 
   std::string_view text_;
@@ -623,35 +726,17 @@ class Parser {
   std::string error_;
   ScenarioSpec spec_;
   Section section_ = Section::kNone;
-  std::string section_name_;
-  std::set<std::string> seen_keys_;
+  /// The line each key of the open section was set on (0: not yet), by
+  /// row of the section's table.
+  std::array<int, kMaxKeys> key_line_{};
   bool seen_scenario_ = false;
   bool seen_fleet_ = false;
   DatacenterOverride dc_;
   PoolOverride pool_;
   ScenarioEvent event_;
-  bool event_has_kind_ = false;
   FaultSpec fault_;
-  bool fault_has_kind_ = false;
   ScenarioAssertion assert_;
-  bool assert_has_expect_ = false;
 };
-
-// Shortest-roundtrip formatting, shared with the CSV trace exporter so
-// scenario files and traces pin the same byte representation of a double.
-[[nodiscard]] std::string fmt_double(double v) {
-  return telemetry::format_double(v);
-}
-
-[[nodiscard]] std::string join(const std::vector<std::string>& items,
-                               std::string_view sep) {
-  std::string out;
-  for (const std::string& item : items) {
-    if (!out.empty()) out += sep;
-    out += item;
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -672,133 +757,31 @@ ParseResult load_scenario_file(const std::string& path) {
 }
 
 std::string serialize_scenario(const ScenarioSpec& spec) {
-  std::string out;
-  out += "[scenario]\n";
-  out += "name = " + spec.name + "\n";
-  if (!spec.description.empty()) {
-    out += "description = " + spec.description + "\n";
-  }
-  out += "seed = " + std::to_string(spec.seed) + "\n";
-  out += "days = " + std::to_string(spec.days) + "\n";
-  out += "threads = " + std::to_string(spec.threads) + "\n";
-  out += "window_seconds = " + std::to_string(spec.window_seconds) + "\n";
-  // Large-fleet stepping knobs: emitted only when non-default, so every
-  // pre-existing scenario (and its embedded-trace golden) round-trips
-  // byte-identically.
-  if (spec.quiescent_dead_band != 0.0) {
-    out += "quiescent_dead_band = " + fmt_double(spec.quiescent_dead_band) +
-           "\n";
-  }
-  if (!spec.per_server_accounting) {
-    out += "per_server_accounting = false\n";
-  }
-  if (spec.failover != sim::FailoverPolicyKind::kNearestSurvivor) {
-    out += "failover = " + sim::to_string(spec.failover) + "\n";
-  }
-  std::vector<std::string> steps;
-  for (const PipelineStep step : kPipelineSteps) {
-    if (spec.runs(step)) steps.emplace_back(to_string(step));
-  }
-  out += "steps = " + join(steps, ",") + "\n";
-
+  std::string out = "[scenario]\n";
+  write_keys(out, kScenarioKeys, spec);
   out += "\n[fleet]\n";
-  out += "kind = " + std::string(to_string(spec.fleet)) + "\n";
-  switch (spec.fleet) {
-    case FleetKind::kSinglePool:
-      break;
-    case FleetKind::kMultiDc:
-      out += "datacenters = " + std::to_string(spec.datacenters) + "\n";
-      break;
-    case FleetKind::kStandard:
-      if (!spec.services.empty()) {
-        out += "services = " + join(spec.services, ",") + "\n";
-      }
-      out += "regional_peak_rps = " + fmt_double(spec.regional_peak_rps) + "\n";
-      out += std::string("heterogeneous = ") +
-             (spec.heterogeneous ? "true" : "false") + "\n";
-      break;
-  }
-  if (spec.fleet != FleetKind::kStandard) {
-    out += "service = " + spec.service + "\n";
-    out += "servers = " + std::to_string(spec.servers) + "\n";
-  }
-
+  write_keys(out, kFleetKeys, spec);
   for (const DatacenterOverride& dc : spec.datacenter_overrides) {
-    out += "\n[datacenter " + std::to_string(dc.datacenter) + "]\n";
-    if (dc.demand_weight) {
-      out += "demand_weight = " + fmt_double(*dc.demand_weight) + "\n";
-    }
-    if (dc.timezone_offset_hours) {
-      out += "timezone_offset_hours = " + fmt_double(*dc.timezone_offset_hours) +
-             "\n";
-    }
+    out += "\n[" + std::string(kDatacenter) + " " +
+           std::to_string(dc.datacenter) + "]\n";
+    write_keys(out, kDatacenterKeys, dc);
   }
-
   for (const PoolOverride& pool : spec.pool_overrides) {
-    out += "\n[pool " + std::to_string(pool.datacenter) + " " +
-           std::to_string(pool.pool) + "]\n";
-    if (pool.servers) {
-      out += "servers = " + std::to_string(*pool.servers) + "\n";
-    }
-    if (pool.demand_multiplier) {
-      out += "demand_multiplier = " + fmt_double(*pool.demand_multiplier) + "\n";
-    }
-    if (pool.burst_multiplier) {
-      out += "burst_multiplier = " + fmt_double(*pool.burst_multiplier) + "\n";
-    }
-    if (pool.burst_start_hour) {
-      out += "burst_start_hour = " + fmt_double(*pool.burst_start_hour) + "\n";
-    }
-    if (pool.burst_hours) {
-      out += "burst_hours = " + fmt_double(*pool.burst_hours) + "\n";
-    }
+    out += "\n[" + std::string(kPool) + " " + std::to_string(pool.datacenter) +
+           " " + std::to_string(pool.pool) + "]\n";
+    write_keys(out, kPoolKeys, pool);
   }
-
-  for (const ScenarioEvent& e : spec.events) {
+  for (const ScenarioEvent& event : spec.events) {
     out += "\n[event]\n";
-    out += "kind = " + std::string(to_string(e.kind)) + "\n";
-    out += "datacenter = " +
-           (e.datacenter ? std::to_string(*e.datacenter) : std::string("all")) +
-           "\n";
-    // Only the pool-scoped event kinds take a pool key (the parser rejects
-    // it elsewhere, and validate() rejects such specs outright).
-    if (e.pool && (e.kind == ScenarioEventKind::kMaintenanceWave ||
-                   e.kind == ScenarioEventKind::kServingReduction)) {
-      out += "pool = " + std::to_string(*e.pool) + "\n";
-    }
-    out += "start_hour = " + fmt_double(e.start_hour) + "\n";
-    if (e.kind != ScenarioEventKind::kServingReduction) {
-      out += "duration_hours = " + fmt_double(e.duration_hours) + "\n";
-    }
-    if (e.kind == ScenarioEventKind::kTrafficMultiplier) {
-      out += "multiplier = " + fmt_double(e.multiplier) + "\n";
-    }
-    if (e.kind == ScenarioEventKind::kMaintenanceWave) {
-      out += "offline_fraction = " + fmt_double(e.offline_fraction) + "\n";
-    }
-    if (e.kind == ScenarioEventKind::kServingReduction) {
-      out += "serving = " + std::to_string(e.serving) + "\n";
-    }
+    write_keys(out, kEventKeys, event);
   }
-
-  for (const FaultSpec& f : spec.faults) {
+  for (const FaultSpec& fault : spec.faults) {
     out += "\n[fault]\n";
-    out += "kind = " + std::string(to_string(f.kind)) + "\n";
-    if (f.datacenter) {
-      out += "datacenter = " + std::to_string(*f.datacenter) + "\n";
-    }
-    if (f.pool) out += "pool = " + std::to_string(*f.pool) + "\n";
-    out += "start_hour = " + fmt_double(f.start_hour) + "\n";
-    out += "duration_hours = " + fmt_double(f.duration_hours) + "\n";
-    if (f.kind == FaultKind::kClockSkew) {
-      out += "skew_seconds = " + fmt_double(f.skew_seconds) + "\n";
-    }
+    write_keys(out, kFaultKeys, fault);
   }
-
-  for (const ScenarioAssertion& a : spec.assertions) {
+  for (const ScenarioAssertion& assertion : spec.assertions) {
     out += "\n[assert]\n";
-    out += "expect = " + a.metric + " " + std::string(to_string(a.op)) + " " +
-           fmt_double(a.value) + "\n";
+    write_keys(out, kAssertKeys, assertion);
   }
   return out;
 }

@@ -8,7 +8,11 @@
 //   [datacenter N]        # optional per-DC overrides (repeatable)
 //   [pool DC POOL]        # optional per-pool overrides (repeatable)
 //   [event]               # one timeline event (repeatable)
+//   [fault]               # one telemetry fault (repeatable)
 //   [assert]              # one `expect = metric OP value` (repeatable)
+//
+// Each section's keys live in one table in scenario_parser.cc, which both
+// the parser and the serializer walk.
 //
 // Malformed input never throws: parse_scenario returns a ParseResult whose
 // `error` carries a precise "<source>:<line>: message" diagnostic.

@@ -4,6 +4,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <filesystem>
+#include <fstream>
+#include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -618,6 +622,28 @@ const MalformedCase kMalformed[] = {
     {"feed stall rejects a pool",
      "[scenario]\nname = x\n[fault]\nkind = feed_stall\npool = 0\n",
      "test.scn:5: key 'pool' is not valid for fault kind 'feed_stall'"},
+    // A [fleet] key its kind does not take: serialize_scenario would drop
+    // it, so the round trip would not hold.
+    {"heterogeneous under single pool",
+     "[scenario]\nname = x\n[fleet]\nkind = single_pool\nheterogeneous = true\n",
+     "test.scn:5: key 'heterogeneous' is not valid for fleet kind "
+     "'single_pool'"},
+    {"servers under standard",
+     "[scenario]\nname = x\n[fleet]\nkind = standard\nservers = 10\n",
+     "test.scn:5: key 'servers' is not valid for fleet kind 'standard'"},
+    {"regional peak under multi dc",
+     "[scenario]\nname = x\n[fleet]\nkind = multi_dc\ndatacenters = 2\n"
+     "regional_peak_rps = 5\n",
+     "test.scn:6: key 'regional_peak_rps' is not valid for fleet kind "
+     "'multi_dc'"},
+    {"off kind fleet key before the kind",
+     "[scenario]\nname = x\n[fleet]\nservers = 10\nservices = C\n"
+     "kind = multi_dc\ndatacenters = 2\n",
+     "test.scn:5: key 'services' is not valid for fleet kind 'multi_dc'"},
+    {"off kind fleet key under the default kind",
+     "[scenario]\nname = x\n[fleet]\ndatacenters = 1\n",
+     "test.scn:4: key 'datacenters' is not valid for fleet kind "
+     "'single_pool'"},
 };
 
 class ScenarioParserMalformed
@@ -640,12 +666,132 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
+TEST(ScenarioParser, EmbeddedNulIsABadValue) {
+  // strtoull/strtod stop at a NUL; the value must be read to its end.
+  using namespace std::string_literals;
+  const struct {
+    std::string input;
+    std::string expected_error;
+  } cases[] = {
+      {"[scenario]\nname = x\nseed = 5\0junk\n"s,
+       "test.scn:3: bad value '5\0junk' for 'seed' (expected unsigned "
+       "integer)"s},
+      {"[scenario]\nname = x\ndays = 1\0\n"s,
+       "test.scn:3: bad value '1\0' for 'days' (expected integer 1..3650)"s},
+      {"[scenario]\nname = x\nquiescent_dead_band = 0.5\0\n"s,
+       "test.scn:3: bad value '0.5\0' for 'quiescent_dead_band' (expected "
+       "number 0..1 (0 = exact stepping))"s},
+      {"[scenario]\nname = x\n[assert]\nexpect = metric_valid == 1\0\n"s,
+       "test.scn:4: bad assertion value '1\0' (expected a number)"s},
+  };
+  for (const auto& c : cases) {
+    const ParseResult result = parse_scenario(c.input, "test.scn");
+    EXPECT_FALSE(result.ok());
+    EXPECT_EQ(result.error, c.expected_error);
+  }
+}
+
 TEST(ScenarioParser, MissingFileReportsOpenError) {
   const ParseResult result =
       load_scenario_file("/nonexistent/definitely_missing.scn");
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.error,
             "/nonexistent/definitely_missing.scn: cannot open scenario file");
+}
+
+// ---------------------------------------------------------------------------
+// Hostile inputs: seeded mutations of every shipped scenario file (runs
+// under asan). Each mutant either fails with a test.scn diagnostic or parses
+// to a spec whose canonical form parses back equal and is a fixed point.
+
+#ifndef HEADROOM_SCENARIO_DIR
+#error "HEADROOM_SCENARIO_DIR must point at examples/scenarios"
+#endif
+
+/// Applies one of seven edits to `text`: drop, duplicate or truncate a
+/// line, flip a bit of a byte, insert a NUL, convert to CRLF, or prepend
+/// a UTF-8 byte-order mark.
+std::string mutate(std::string text, std::mt19937_64& rng) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  const auto join_lines = [&] {
+    std::string out;
+    for (const std::string& line : lines) out += line + '\n';
+    return out;
+  };
+  const std::size_t at = lines.empty() ? 0 : rng() % lines.size();
+  switch (rng() % 7) {
+    case 0:
+      if (!lines.empty()) lines.erase(lines.begin() + at);
+      return join_lines();
+    case 1:
+      if (!lines.empty()) lines.insert(lines.begin() + at, lines[at]);
+      return join_lines();
+    case 2:
+      if (!lines.empty()) lines[at].resize(rng() % (lines[at].size() + 1));
+      return join_lines();
+    case 3:
+      if (!text.empty()) {
+        text[rng() % text.size()] ^= static_cast<char>(1u << (rng() % 8));
+      }
+      return text;
+    case 4:
+      text.insert(text.begin() + static_cast<std::ptrdiff_t>(
+                                     rng() % (text.size() + 1)),
+                  '\0');
+      return text;
+    case 5: {
+      std::string crlf;
+      for (const char c : text) {
+        if (c == '\n') crlf += '\r';
+        crlf += c;
+      }
+      return crlf;
+    }
+    default:
+      return "\xEF\xBB\xBF" + text;
+  }
+}
+
+TEST(ScenarioParserHostile, MutantsFailCleanlyOrRoundTrip) {
+  constexpr int kMutantsPerFile = 200;
+  std::mt19937_64 rng(20181);  // Fixed: the sweep is the same every run.
+  int parsed = 0;
+  int rejected = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(HEADROOM_SCENARIO_DIR)) {
+    if (entry.path().extension() != ".scn") continue;
+    std::ifstream in(entry.path(), std::ios::binary);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    for (int i = 0; i < kMutantsPerFile; ++i) {
+      std::string mutant = buffer.str();
+      for (int edits = 1 + static_cast<int>(rng() % 3); edits > 0; --edits) {
+        mutant = mutate(std::move(mutant), rng);
+      }
+      const ParseResult first = parse_scenario(mutant, "test.scn");
+      if (!first.ok()) {
+        ++rejected;
+        EXPECT_EQ(first.error.rfind("test.scn:", 0), 0u)
+            << first.error << "\n--- mutant of " << entry.path() << ":\n"
+            << mutant;
+        continue;
+      }
+      ++parsed;
+      const std::string canonical = serialize_scenario(first.spec);
+      const ParseResult second = parse_scenario(canonical, "test.scn");
+      ASSERT_TRUE(second.ok()) << second.error << "\n--- mutant of "
+                               << entry.path() << ":\n" << mutant;
+      EXPECT_EQ(second.spec, first.spec)
+          << "--- mutant of " << entry.path() << ":\n" << mutant;
+      EXPECT_EQ(serialize_scenario(second.spec), canonical)
+          << "--- mutant of " << entry.path() << ":\n" << mutant;
+    }
+  }
+  // Both outcomes must occur, or the sweep tests nothing.
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 // ---------------------------------------------------------------------------
