@@ -6,6 +6,11 @@
 
 namespace headroom::baseline {
 
+/// Required gap below the latency SLO for a probe-down to be adopted — and,
+/// symmetrically, the "getting close" line that triggers a proactive step
+/// up.
+constexpr double kLatencyHeadroomMs = 3.0;
+
 ThroughputProbingPlanner::ThroughputProbingPlanner(
     ThroughputProbingOptions options)
     : options_(options) {
@@ -55,7 +60,7 @@ std::size_t ThroughputProbingPlanner::plan_window(
   if (windows_in_phase_ < options_.settle_windows) return current_;
 
   // Settle period complete: judge it.
-  const double comfort = context_.latency_slo_ms - options_.latency_headroom_ms;
+  const double comfort = context_.latency_slo_ms - kLatencyHeadroomMs;
   const bool comfortable = worst_latency_ms_ <= comfort;
   windows_in_phase_ = 0;
   worst_latency_ms_ = 0.0;

@@ -24,10 +24,6 @@ struct ThroughputProbingOptions {
   /// Capacity step per probe, as a fraction of current serving (>= 1
   /// server always).
   double probe_step_fraction = 0.10;
-  /// Required gap below the latency SLO for a probe-down to be adopted —
-  /// and, symmetrically, the "getting close" line that triggers a
-  /// proactive step up.
-  double latency_headroom_ms = 3.0;
   /// Probe pause after a failed probe-down, in settle periods (back-off so
   /// a pool at its floor is not perpetually re-probed).
   std::size_t backoff_periods = 3;

@@ -69,7 +69,7 @@ PoolCapacityForecast CapacityForecaster::forecast_pool(const PoolSpec& pool,
   // Replay history into the decomposition in window order. Total pool
   // demand per window is mean per-server RPS x online servers; evicted
   // windows read as dark and are skipped.
-  ml::TrendSeasonDecomposition decomposition(options_.decomposition);
+  ml::TrendSeasonDecomposition decomposition;
   for (SimTime t = from; t < to; t += window) {
     const std::optional<double> rps = engine_->window_value(rps_key, t);
     const std::optional<double> servers =

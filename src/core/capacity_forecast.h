@@ -47,7 +47,6 @@ struct CapacityForecastOptions {
   telemetry::SimTime critical_seconds = 30 * 86400;
   /// What-if demand multiplier applied to every forecast (growth sweeps).
   double growth_multiplier = 1.0;
-  ml::TrendSeasonOptions decomposition;
 };
 
 /// One pool's forecast: capacity line, growth, exhaustion bracket, risk,

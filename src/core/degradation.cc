@@ -98,13 +98,14 @@ void HealthMonitor::ingest(const telemetry::SeriesKey& key, telemetry::SimTime t
     t = t >= 0 ? t / window * window : (t - window + 1) / window * window;
     ++pool.counters_.realigned;
   }
-  const auto seen = last_time_.find(key);
-  if (seen != last_time_.end()) {
-    if (t == seen->second) {
+  const auto [last, first_sample] =
+      last_.try_emplace(key, LastSample{t, value});
+  if (!first_sample) {
+    if (t == last->second.time) {
       ++pool.counters_.quarantined_duplicate;
       return;
     }
-    if (t < seen->second) {
+    if (t < last->second.time) {
       ++pool.counters_.quarantined_out_of_order;
       return;
     }
@@ -114,8 +115,9 @@ void HealthMonitor::ingest(const telemetry::SeriesKey& key, telemetry::SimTime t
     // writer that later catches up with real data leaves the store
     // bit-identical to the fault-free run.
     const telemetry::TimeSeries& series = store_->series(key);
-    for (telemetry::SimTime g = seen->second + window; g < t; g += window) {
-      double fill = last_value_[key];
+    for (telemetry::SimTime g = last->second.time + window; g < t;
+         g += window) {
+      double fill = last->second.value;
       value_at_time(series, g - kSeasonSeconds, &fill);
       store_->record(key, g, fill);
       ++pool.counters_.healed;
@@ -124,8 +126,7 @@ void HealthMonitor::ingest(const telemetry::SeriesKey& key, telemetry::SimTime t
   }
   if (is_workload && t + window <= now_) ++pool.counters_.late_windows;
   store_->record(key, t, value);
-  last_time_[key] = t;
-  last_value_[key] = value;
+  last->second = {t, value};
   if (t > pool.last_real_) pool.last_real_ = t;
 }
 

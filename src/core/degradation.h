@@ -196,11 +196,14 @@ class HealthMonitor {
   std::vector<DegradationTracker> pools_;
   std::vector<HealthTransition> transitions_;
   telemetry::SimTime now_ = 0;
-  std::unordered_map<telemetry::SeriesKey, telemetry::SimTime,
-                     telemetry::SeriesKeyHash>
-      last_time_;
-  std::unordered_map<telemetry::SeriesKey, double, telemetry::SeriesKeyHash>
-      last_value_;
+  /// The last accepted sample of each series: its grid time (duplicate and
+  /// out-of-order checks) and value (gap-healing fallback).
+  struct LastSample {
+    telemetry::SimTime time;
+    double value;
+  };
+  std::unordered_map<telemetry::SeriesKey, LastSample, telemetry::SeriesKeyHash>
+      last_;
 };
 
 }  // namespace headroom::core

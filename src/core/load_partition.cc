@@ -1,10 +1,17 @@
 #include "core/load_partition.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
 
 namespace headroom::core {
+
+// RANSAC settings of the per-partition Eq. 1 fit.
+constexpr std::size_t kMinPointsPerFit = 8;
+constexpr double kRansacThresholdMs = 2.0;
+constexpr std::size_t kRansacIterations = 200;
+constexpr std::uint64_t kRansacSeed = 77;
 
 std::vector<LoadPartition> partition_by_load(std::span<const double> total_load,
                                              std::size_t count) {
@@ -61,7 +68,7 @@ ServerCountLatencyModel ServerCountLatencyModel::fit(
       ys.push_back(latency_ms[idx]);
     }
     pm.partition = std::move(p);
-    if (xs.size() >= options.min_points_per_fit) {
+    if (xs.size() >= kMinPointsPerFit) {
       // Early experiment history may contain only one or two distinct
       // server counts; degrade the quadratic to the highest degree the
       // data supports rather than refusing to model at all.
@@ -73,9 +80,9 @@ ServerCountLatencyModel ServerCountLatencyModel::fit(
       if (degree >= 1) {
         stats::RansacOptions ropt;
         ropt.degree = degree;
-        ropt.iterations = options.ransac_iterations;
-        ropt.inlier_threshold = options.ransac_threshold_ms;
-        ropt.seed = options.seed;
+        ropt.iterations = kRansacIterations;
+        ropt.inlier_threshold = kRansacThresholdMs;
+        ropt.seed = kRansacSeed;
         pm.fit = stats::fit_ransac(xs, ys, ropt).fit;
         pm.usable = pm.fit.coeffs.size() >= 2;
       }

@@ -41,10 +41,6 @@ struct PartitionModel {
 
 struct ServerCountModelOptions {
   std::size_t partitions = 4;
-  std::size_t min_points_per_fit = 8;
-  double ransac_threshold_ms = 2.0;
-  std::size_t ransac_iterations = 200;
-  std::uint64_t seed = 77;
 };
 
 /// The family of per-partition latency-vs-server-count fits.

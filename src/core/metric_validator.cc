@@ -7,6 +7,11 @@
 
 namespace headroom::core {
 
+/// R² at/above which a correlated counter is kLinearNoisy.
+constexpr double kNoisyRSquared = 0.40;
+/// Coefficient of variation below which a counter is considered static.
+constexpr double kStaticCv = 0.02;
+
 std::string to_string(MetricVerdict verdict) {
   switch (verdict) {
     case MetricVerdict::kLinearTight: return "linear-tight";
@@ -31,7 +36,7 @@ MetricAssessment MetricValidator::classify(const telemetry::AlignedPair& pair,
   }
   const stats::Summary ys = stats::summarize(pair.y);
   const double cv = ys.mean != 0.0 ? ys.stddev / std::fabs(ys.mean) : 0.0;
-  if (cv < options_.static_cv) {
+  if (cv < kStaticCv) {
     a.verdict = MetricVerdict::kStatic;
     return a;
   }
@@ -39,7 +44,7 @@ MetricAssessment MetricValidator::classify(const telemetry::AlignedPair& pair,
   a.pearson = stats::pearson(pair.x, pair.y);
   if (a.fit.r_squared >= options_.tight_r_squared) {
     a.verdict = MetricVerdict::kLinearTight;
-  } else if (a.fit.r_squared >= options_.noisy_r_squared) {
+  } else if (a.fit.r_squared >= kNoisyRSquared) {
     a.verdict = MetricVerdict::kLinearNoisy;
   } else {
     a.verdict = MetricVerdict::kUncorrelated;

@@ -44,9 +44,6 @@ struct MetricAssessment {
 
 struct ValidatorOptions {
   double tight_r_squared = 0.90;   ///< At/above: kLinearTight.
-  double noisy_r_squared = 0.40;   ///< At/above: kLinearNoisy.
-  /// Coefficient of variation below which a counter is considered static.
-  double static_cv = 0.02;
 };
 
 class MetricValidator {

@@ -9,14 +9,22 @@
 
 namespace headroom::core {
 
-NaturalExperimentAnalyzer::NaturalExperimentAnalyzer(
-    EventDetectorOptions options)
-    : options_(options) {}
+/// A window is event-elevated when load exceeds its baseline by this factor.
+constexpr double kElevationFactor = 1.30;
+/// Seasonal period in windows (720 = one day of 120 s windows). When at
+/// least one full period of history exists, the baseline for a window is
+/// the median of the same-phase windows of previous periods — this is what
+/// keeps ordinary diurnal peaks from being flagged as events.
+constexpr std::size_t kPeriodWindows = 720;
+/// Fallback trailing-median width while seasonal history is missing.
+constexpr std::size_t kTrailingWindows = 30;
+/// Events closer than this (windows) merge into one.
+constexpr std::size_t kMergeGapWindows = 5;
 
 std::vector<EventWindow> NaturalExperimentAnalyzer::detect(
     const telemetry::TimeSeries& rps) const {
   std::vector<EventWindow> events;
-  if (rps.size() < 2 * options_.trailing_windows) return events;
+  if (rps.size() < 2 * kTrailingWindows) return events;
   const std::span<const double> values = rps.values();
 
   std::deque<double> trailing;
@@ -26,12 +34,12 @@ std::vector<EventWindow> NaturalExperimentAnalyzer::detect(
 
   auto baseline_for = [&](std::size_t i) -> double {
     // Seasonal baseline: median of the same-phase windows of prior periods.
-    if (options_.period_windows > 0 && i >= options_.period_windows) {
+    if (i >= kPeriodWindows) {
       std::vector<double> seasonal;
-      for (std::size_t k = i; k >= options_.period_windows;) {
-        k -= options_.period_windows;
+      for (std::size_t k = i; k >= kPeriodWindows;) {
+        k -= kPeriodWindows;
         seasonal.push_back(values[k]);
-        if (k < options_.period_windows) break;
+        if (k < kPeriodWindows) break;
       }
       if (!seasonal.empty()) return stats::percentile(seasonal, 50.0);
     }
@@ -46,7 +54,7 @@ std::vector<EventWindow> NaturalExperimentAnalyzer::detect(
   for (std::size_t i = 0; i < values.size(); ++i) {
     const double value = values[i];
     const double baseline = baseline_for(i);
-    const bool elevated = value > baseline * options_.elevation_factor;
+    const bool elevated = value > baseline * kElevationFactor;
 
     if (elevated) {
       // Magnitude is the worst same-window ratio of value to its own
@@ -69,7 +77,7 @@ std::vector<EventWindow> NaturalExperimentAnalyzer::detect(
     } else {
       if (in_event) {
         ++quiet_streak;
-        if (quiet_streak > options_.merge_gap_windows) {
+        if (quiet_streak > kMergeGapWindows) {
           events.push_back(current);
           in_event = false;
         }
@@ -77,7 +85,7 @@ std::vector<EventWindow> NaturalExperimentAnalyzer::detect(
       // Only non-elevated samples update the trailing fallback; an event
       // must not drag its own baseline upward.
       trailing.push_back(value);
-      if (trailing.size() > options_.trailing_windows) trailing.pop_front();
+      if (trailing.size() > kTrailingWindows) trailing.pop_front();
     }
   }
   if (in_event) events.push_back(current);

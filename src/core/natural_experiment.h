@@ -27,22 +27,6 @@ struct EventWindow {
   }
 };
 
-struct EventDetectorOptions {
-  /// A window is event-elevated when load exceeds its baseline by this
-  /// factor.
-  double elevation_factor = 1.30;
-  /// Seasonal period in windows (720 = one day of 120 s windows). When at
-  /// least one full period of history exists, the baseline for a window is
-  /// the median of the same-phase windows of previous periods — this is
-  /// what keeps ordinary diurnal peaks from being flagged as events.
-  /// 0 disables seasonality.
-  std::size_t period_windows = 720;
-  /// Fallback trailing-median width while seasonal history is missing.
-  std::size_t trailing_windows = 30;
-  /// Events closer than this (windows) merge into one.
-  std::size_t merge_gap_windows = 5;
-};
-
 /// How well the pre-event model explained the event data.
 struct ModelHoldReport {
   stats::LinearFit pre_event_cpu_fit;
@@ -57,8 +41,6 @@ struct ModelHoldReport {
 
 class NaturalExperimentAnalyzer {
  public:
-  explicit NaturalExperimentAnalyzer(EventDetectorOptions options = {});
-
   /// Detects elevated-load windows in the pool's per-server RPS series.
   [[nodiscard]] std::vector<EventWindow> detect(
       const telemetry::TimeSeries& rps) const;
@@ -77,9 +59,6 @@ class NaturalExperimentAnalyzer {
       const telemetry::TimeSeries& rps, const telemetry::TimeSeries& cpu,
       const telemetry::TimeSeries& latency,
       const PoolModelOptions& options = {}) const;
-
- private:
-  EventDetectorOptions options_;
 };
 
 }  // namespace headroom::core

@@ -1,9 +1,14 @@
 #include "core/pool_model.h"
 
+#include <cstdint>
 #include <stdexcept>
 #include <utility>
 
 namespace headroom::core {
+
+// RANSAC settings of the latency fit.
+constexpr std::size_t kRansacIterations = 300;
+constexpr std::uint64_t kRansacSeed = 31;
 
 PoolResponseModel PoolResponseModel::fit(
     const telemetry::AlignedPair& rps_vs_cpu,
@@ -15,9 +20,9 @@ PoolResponseModel PoolResponseModel::fit(
   if (options.ransac_threshold_ms > 0.0 && rps_vs_latency.x.size() >= 8) {
     stats::RansacOptions ropt;
     ropt.degree = 2;
-    ropt.iterations = options.ransac_iterations;
+    ropt.iterations = kRansacIterations;
     ropt.inlier_threshold = options.ransac_threshold_ms;
-    ropt.seed = options.seed;
+    ropt.seed = kRansacSeed;
     const stats::RansacResult r =
         stats::fit_ransac(rps_vs_latency.x, rps_vs_latency.y, ropt);
     model.latency_fit_ = r.fit;

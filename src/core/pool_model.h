@@ -23,8 +23,6 @@ struct PoolModelOptions {
   /// RANSAC residual tolerance for the latency fit, in ms. <=0 disables
   /// RANSAC (plain least squares).
   double ransac_threshold_ms = 2.0;
-  std::size_t ransac_iterations = 300;
-  std::uint64_t seed = 31;
 };
 
 /// Forecast of one reduction experiment (the paper's §III-A tables).

@@ -25,12 +25,9 @@ RsmIteration summarize_iteration(std::size_t serving,
   return it;
 }
 
-ServerCountLatencyModel fit_model(const ExperimentObservations& history,
-                                  const RsmOptions& options) {
-  ServerCountModelOptions mopt = options.model_options;
-  mopt.partitions = options.load_partitions;
+ServerCountLatencyModel fit_model(const ExperimentObservations& history) {
   return ServerCountLatencyModel::fit(history.total_rps, history.servers,
-                                      history.latency_p95_ms, mopt);
+                                      history.latency_p95_ms);
 }
 
 }  // namespace
@@ -68,7 +65,7 @@ void RsmSession::refresh_fit() {
   // RANSAC), so a memoized fit is bit-identical to the batch path's refit
   // over the same history.
   if (fit_valid_ && fitted_size_ == result_.history.size()) return;
-  model_ = fit_model(result_.history, options_);
+  model_ = fit_model(result_.history);
   p95_load_ = stats::percentile(result_.history.total_rps, 95.0);
   fitted_size_ = result_.history.size();
   fit_valid_ = true;

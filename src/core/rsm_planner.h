@@ -29,8 +29,6 @@ struct RsmOptions {
   telemetry::SimTime iteration_duration = 2 * 86400;
   /// Baseline observation before the first reduction.
   telemetry::SimTime baseline_duration = 2 * 86400;
-  std::size_t load_partitions = 4;
-  ServerCountModelOptions model_options;
   /// Never reduce below this fraction of the starting count.
   double min_serving_fraction = 0.30;
 };

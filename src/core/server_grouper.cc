@@ -2,9 +2,22 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 namespace headroom::core {
+
+constexpr std::size_t kMaxGroups = 3;
+/// Additionally require every pair of cluster centroids to be at least this
+/// many within-cluster RMS radii apart. Guards against slicing one elongated
+/// cluster in half (which can still score a decent silhouette).
+constexpr double kMinSeparation = 3.0;
+/// Practical-significance floor: clusters whose centroids differ by less
+/// than this many CPU percentage points are one planning group no matter
+/// how statistically separable they are (capacity is planned in whole
+/// servers; sub-percent CPU distinctions don't change any decision).
+constexpr double kMinCentroidDistancePct = 2.0;
+constexpr std::uint64_t kSeed = 23;
 
 GroupingFeatures features_from_snapshot(
     const telemetry::PercentileSnapshot& snapshot) {
@@ -37,13 +50,12 @@ PoolGrouping ServerGrouper::group_servers(
   }
 
   const std::size_t k =
-      ml::choose_k(data, options_.max_groups, options_.min_silhouette,
-                   options_.seed);
+      ml::choose_k(data, kMaxGroups, options_.min_silhouette, kSeed);
   if (k <= 1) return result;
 
   ml::KMeansOptions opt;
   opt.k = k;
-  opt.seed = options_.seed;
+  opt.seed = kSeed;
   const ml::KMeansResult km = ml::kmeans(data, opt);
 
   // Separation gate: centroids must stand well apart relative to the
@@ -63,10 +75,10 @@ PoolGrouping ServerGrouper::group_servers(
     }
   }
   if (within_rms > 0.0 &&
-      min_centroid_distance < options_.min_separation * within_rms) {
+      min_centroid_distance < kMinSeparation * within_rms) {
     return result;  // stay uni-modal
   }
-  if (min_centroid_distance < options_.min_centroid_distance_pct) {
+  if (min_centroid_distance < kMinCentroidDistancePct) {
     return result;  // statistically real, practically irrelevant
   }
 

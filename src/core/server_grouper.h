@@ -56,21 +56,9 @@ struct PoolGrouping {
 };
 
 struct GrouperOptions {
-  std::size_t max_groups = 3;
   /// Minimum silhouette for accepting a multi-group split; below this the
   /// pool is treated as one group.
   double min_silhouette = 0.55;
-  /// Additionally require every pair of cluster centroids to be at least
-  /// this many within-cluster RMS radii apart. Guards against slicing one
-  /// elongated cluster in half (which can still score a decent
-  /// silhouette).
-  double min_separation = 3.0;
-  /// Practical-significance floor: clusters whose centroids differ by less
-  /// than this many CPU percentage points are one planning group no matter
-  /// how statistically separable they are (capacity is planned in whole
-  /// servers; sub-percent CPU distinctions don't change any decision).
-  double min_centroid_distance_pct = 2.0;
-  std::uint64_t seed = 23;
 };
 
 class ServerGrouper {

@@ -3,8 +3,7 @@
 // "The QoS requirement for each micro-service is defined as a set of
 // Service Level Objectives (SLOs). Each SLO is a specific metric and the
 // minimum threshold of their values." (paper §II). In this library QoS is
-// the pair the paper actually plans against: a P95 latency ceiling and an
-// availability floor.
+// the SLO the planners size against: a P95 latency ceiling.
 #pragma once
 
 namespace headroom::core {
@@ -13,13 +12,8 @@ struct LatencySlo {
   double p95_ms = 100.0;  ///< e.g. "response latency must be < 500 ms".
 };
 
-struct AvailabilitySlo {
-  double min_fraction = 0.9995;  ///< e.g. "reliability must be 99.95%".
-};
-
 struct QosRequirement {
   LatencySlo latency;
-  AvailabilitySlo availability;
 };
 
 }  // namespace headroom::core

@@ -10,6 +10,9 @@ namespace headroom::ml {
 
 namespace {
 
+/// Gini decrease required to split.
+constexpr double kMinImpurityDecrease = 1e-9;
+
 double gini(std::size_t positives, std::size_t total) {
   if (total == 0) return 0.0;
   const double p = static_cast<double>(positives) / static_cast<double>(total);
@@ -110,7 +113,7 @@ void DecisionTree::fit(const Dataset& data, std::span<const std::uint8_t> labels
     if (nodes_[node_id].level >= options.max_depth) return;
     SplitCandidate split = find_best_split(data, labels, node_rows[node_id],
                                            options.min_leaf_size);
-    if (split.valid && split.impurity_decrease >= options.min_impurity_decrease) {
+    if (split.valid && split.impurity_decrease >= kMinImpurityDecrease) {
       frontier.push({split.impurity_decrease, node_id, split});
     }
   };

@@ -23,7 +23,6 @@ struct DecisionTreeOptions {
   std::size_t max_depth = 16;
   std::size_t min_leaf_size = 1;        ///< Paper uses 2000 machines.
   std::size_t max_splits = 0;           ///< 0 = unlimited; paper's tree: 34.
-  double min_impurity_decrease = 1e-9;  ///< Gini decrease required to split.
 };
 
 /// Binary CART classifier (Gini impurity, axis-aligned threshold splits).

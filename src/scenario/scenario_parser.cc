@@ -756,6 +756,18 @@ ParseResult load_scenario_file(const std::string& path) {
   return parse_scenario(buffer.str(), path);
 }
 
+std::string check_fleet_fields(const ScenarioSpec& spec) {
+  const KindOf kind = kind_of(spec);
+  const ScenarioSpec defaults;
+  for (const Key<ScenarioSpec>& key : kFleetKeys) {
+    if ((key.kinds & kind.bit) == 0 &&
+        key.access.get(spec) != key.access.get(defaults)) {
+      return not_valid(key.name, kind);
+    }
+  }
+  return "";
+}
+
 std::string serialize_scenario(const ScenarioSpec& spec) {
   std::string out = "[scenario]\n";
   write_keys(out, kScenarioKeys, spec);

@@ -45,6 +45,13 @@ struct ParseResult {
 /// for any spec that passes validate().
 [[nodiscard]] std::string serialize_scenario(const ScenarioSpec& spec);
 
+/// "" when every [fleet] field that `spec.fleet` does not take holds
+/// ScenarioSpec's default; otherwise the parser's diagnostic for the first
+/// such field ("key 'K' is not valid for fleet kind 'KIND'"). The check
+/// reads the parser's per-key kind masks; validate() calls it, because
+/// serialize_scenario leaves those fields out.
+[[nodiscard]] std::string check_fleet_fields(const ScenarioSpec& spec);
+
 /// Strips spaces, tabs and carriage returns from both ends: the blank rule
 /// of the scenario grammar and of the trace manifest (scenario/trace.h).
 [[nodiscard]] std::string_view trim(std::string_view s) noexcept;

@@ -5,6 +5,7 @@
 #include <map>
 #include <string_view>
 
+#include "scenario/scenario_parser.h"
 #include "telemetry/csv.h"
 
 namespace headroom::scenario {
@@ -244,6 +245,9 @@ std::string validate(const ScenarioSpec& spec) {
   }
   if (spec.fleet == FleetKind::kStandard && spec.regional_peak_rps <= 0.0) {
     return "regional_peak_rps must be positive";
+  }
+  if (std::string off_kind = check_fleet_fields(spec); !off_kind.empty()) {
+    return off_kind;
   }
 
   for (std::size_t i = 0; i < spec.datacenter_overrides.size(); ++i) {

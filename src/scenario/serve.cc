@@ -174,34 +174,23 @@ struct SourceIndex {
 
 /// Routes one grid window of true samples from `source` through the fault
 /// injector into the health monitor, which sanitizes and writes the
-/// delivered store. Pool-scope samples take the fault surface; server-scope
-/// rows (per-server accounting) bypass it verbatim — the faults model the
-/// pool aggregation pipeline, and the monitor's grid accounting is per
-/// pool. Keys are walked in the store's canonical sorted order, so the
-/// delivery stream is deterministic at any thread count.
+/// delivered store. Each pool's samples take the fault surface together —
+/// the faults model the pool aggregation pipeline, and the monitor's grid
+/// accounting is per pool. Keys are walked in the store's canonical sorted
+/// order, so the delivery stream is deterministic at any thread count.
 void deliver_window(const telemetry::MetricStore& source, SourceIndex& index,
                     SimTime t, FaultInjector& injector,
-                    core::HealthMonitor& monitor,
-                    telemetry::MetricStore& delivered) {
+                    core::HealthMonitor& monitor) {
   index.refresh(source);
   const std::vector<telemetry::SeriesKey>& keys = index.keys;
   std::vector<DeliveredSample> samples;
   std::size_t i = 0;
   while (i < keys.size()) {
-    if (keys[i].server != telemetry::SeriesKey::kPoolScope) {
-      double v = 0.0;
-      if (sample_at(*index.series[i], t, &v)) {
-        delivered.record(keys[i], t, v);
-      }
-      ++i;
-      continue;
-    }
     const std::uint32_t dc = keys[i].datacenter;
     const std::uint32_t pool = keys[i].pool;
     samples.clear();
     while (i < keys.size() && keys[i].datacenter == dc &&
-           keys[i].pool == pool &&
-           keys[i].server == telemetry::SeriesKey::kPoolScope) {
+           keys[i].pool == pool) {
       double v = 0.0;
       if (sample_at(*index.series[i], t, &v)) {
         samples.push_back({keys[i], t, v});
@@ -440,8 +429,7 @@ ServeResult ServeRunner::serve(const ScenarioSpec& spec,
     const SimTime t = fleet.now();
     fleet.run_until(t + window);
     if (health != nullptr) {
-      deliver_window(fleet.store(), source_index, t, *injector, *health,
-                     delivered);
+      deliver_window(fleet.store(), source_index, t, *injector, *health);
       health->advance(t + window);
     }
     ++out.windows;

@@ -219,24 +219,21 @@ FleetSimulator::FleetSimulator(FleetConfig config,
   if (config_.per_server_accounting) {
     cpu_digests_.resize(total_servers());
   }
-  // The dead-band cache replays pool-scope telemetry only, so it stays off
-  // (every window fully evaluated) when per-server series are recorded.
-  if (config_.quiescent_dead_band > 0.0 && !config_.record_server_series) {
+  if (config_.quiescent_dead_band > 0.0) {
     pool_cache_.resize(n);
   }
 
   shard_telemetry_.resize(lanes);
   // Size each shard's window buffers once, up front: the per-window entry
-  // count is fixed by the topology (11 pool-scope series per pool, 3
-  // per-server series when enabled, one availability event per rotation
-  // member), so the stepping hot path never grows them.
+  // count is fixed by the topology (11 pool-scope series per pool, one
+  // availability event per rotation member), so the stepping hot path never
+  // grows them.
   for (std::size_t s = 0; s < lanes; ++s) {
     std::size_t metric_entries = 0;
     std::size_t availability_entries = 0;
     for (std::size_t p = shard_begin_[s]; p < shard_begin_[s + 1]; ++p) {
       const std::size_t servers = server_begin_[p + 1] - server_begin_[p];
       if (config_.record_pool_series) metric_entries += 11;
-      if (config_.record_server_series) metric_entries += servers * 3;
       if (config_.per_server_accounting) availability_entries += servers;
     }
     shard_telemetry_[s].metrics.reserve(metric_entries);
@@ -325,8 +322,8 @@ void FleetSimulator::finish_day() { flush_digests(current_day_); }
 
 void FleetSimulator::run_until(SimTime end) {
   if (end > now_) {
-    // One-shot capacity hint: every pool-scope/per-server series gains one
-    // sample per window, so reserving the remaining window count up front
+    // One-shot capacity hint: every pool-scope series gains one sample per
+    // window, so reserving the remaining window count up front
     // removes all realloc churn (and span invalidation) from the run.
     const auto windows = static_cast<std::size_t>(
         (end - now_ + config_.window_seconds - 1) / config_.window_seconds);
@@ -551,7 +548,7 @@ void FleetSimulator::step_pool(std::size_t p, SimTime t,
 
     const ResponseModel& model = pool_models[generation[s]];
     ServerWindowMetrics m =
-        model.sample(rps, t, rng, config_.background_spikes,
+        model.sample(rps, t, rng, /*with_background_spikes=*/true,
                      config_.background_noise_scale);
     m.cpu_pct_attributed *= cpu_common;
     m.cpu_pct_total = std::min(100.0, m.cpu_pct_total * cpu_common);
@@ -596,18 +593,6 @@ void FleetSimulator::step_pool(std::size_t p, SimTime t,
     agg_disk_bytes.add(m.disk_read_bytes_per_s);
     agg_disk_q.add(m.disk_queue_length);
     agg_errors.add(m.errors_per_s);
-
-    if (config_.record_server_series) {
-      const SeriesKey base{pool_dc_[p], pool_id_[p], s,
-                           MetricKind::kRequestsPerSecond};
-      out.metrics.record(base, t, m.rps);
-      SeriesKey cpu = base;
-      cpu.metric = MetricKind::kCpuPercentTotal;
-      out.metrics.record(cpu, t, m.cpu_pct_total);
-      SeriesKey lat = base;
-      lat.metric = MetricKind::kLatencyP95Ms;
-      out.metrics.record(lat, t, m.latency_p95_ms);
-    }
   }
 
   // A cached evaluation keeps its own histogram contribution (for replay)

@@ -4,9 +4,9 @@
 // window it (1) evaluates regional demand (diurnal curves, event
 // multipliers, outage failover), (2) splits each pool's workload evenly
 // over its online servers (load balancer), (3) evaluates every server's
-// response model, and (4) emits telemetry: pool-scope series, optional
-// per-server series, per-server daily CPU digests, a fleet-wide CPU sample
-// histogram, and availability accounting.
+// response model, and (4) emits telemetry: pool-scope series, per-server
+// daily CPU digests, a fleet-wide CPU sample histogram, and availability
+// accounting.
 //
 // Server-count experiment controls (`set_serving_count`) implement the
 // paper's §II-B2 production reduction experiments: removed servers stop

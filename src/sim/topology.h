@@ -75,12 +75,10 @@ struct FleetConfig {
   /// given seed. 0 means hardware concurrency; clamped to the pool count.
   std::size_t threads = 1;
   bool record_pool_series = true;    ///< Pool-scope series into the store.
-  bool record_server_series = false; ///< Per-server series (small runs only).
   /// Per-workload metric attribution (methodology Step 1). When false, only
   /// kCpuPercentTotal is meaningful and includes background noise —
   /// the "blindly measured" mode whose fits come out noisy.
   bool attribution_enabled = true;
-  bool background_spikes = true;     ///< Hourly log-upload CPU spikes.
   /// Scales every pool's background (non-primary-workload) CPU; >1 models
   /// pools running extra unaccounted workloads (the not-tightly-bound
   /// cohort of paper §II-A2).

@@ -113,27 +113,6 @@ std::string format_double(double value) {
   return std::string(best, best_len);
 }
 
-void write_series_csv(std::ostream& out, const TimeSeries& series,
-                      const std::string& value_column) {
-  out << "window_start," << value_column << "\n";
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    out << series.time_at(i) << "," << format_double(series.value_at(i))
-        << "\n";
-  }
-}
-
-void write_scatter_csv(std::ostream& out, const AlignedPair& pair,
-                       const std::string& x_column,
-                       const std::string& y_column) {
-  out << x_column << "," << y_column << "\n";
-  // Tolerate mismatched pairs by emitting the common prefix only; indexing
-  // y by x's length read out of bounds when y was shorter.
-  const std::size_t rows = std::min(pair.x.size(), pair.y.size());
-  for (std::size_t i = 0; i < rows; ++i) {
-    out << format_double(pair.x[i]) << "," << format_double(pair.y[i]) << "\n";
-  }
-}
-
 std::size_t write_pool_csv(std::ostream& out, const MetricStore& store,
                            std::uint32_t datacenter, std::uint32_t pool,
                            std::span<const MetricKind> metrics) {

@@ -1,9 +1,8 @@
 // CSV export and ingestion of metric series — the bridge between the
-// in-memory store and external telemetry. Export feeds plotting (the
-// scatter charts of paper Figs. 2-11 are one `plot x,y` away from these
-// files) and trace capture; ingestion is the paper's black-box posture
-// (§II-B2) made literal: the pipeline runs against recorded counters with
-// no simulator in the loop.
+// in-memory store and external telemetry. Export is trace capture (one
+// pool CSV per pool, `headroom export-trace`); ingestion is the paper's
+// black-box posture (§II-B2) made literal: the pipeline runs against
+// recorded counters with no simulator in the loop.
 //
 // Round-trip contract: doubles are written with the shortest decimal
 // representation that strtod parses back to the exact same bits
@@ -49,15 +48,6 @@ bool read_csv_line(std::istream& in, std::string* line);
 /// trailing empty field).
 [[nodiscard]] std::vector<std::string> split_csv_fields(
     const std::string& line, char sep = ',');
-
-/// Writes one series as `window_start,value` rows with a header.
-void write_series_csv(std::ostream& out, const TimeSeries& series,
-                      const std::string& value_column = "value");
-
-/// Writes an aligned (x, y) scatter as `x,y` rows with a header.
-void write_scatter_csv(std::ostream& out, const AlignedPair& pair,
-                       const std::string& x_column = "x",
-                       const std::string& y_column = "y");
 
 /// Writes several pool-scope metrics of one pool, inner-joined on window
 /// start: `window_start,<metric...>`. Metrics absent from the store are

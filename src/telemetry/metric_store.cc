@@ -158,20 +158,6 @@ std::vector<SeriesKey> MetricStore::keys() const {
   return out;
 }
 
-std::vector<SeriesKey> MetricStore::server_keys(std::uint32_t datacenter,
-                                                std::uint32_t pool,
-                                                MetricKind metric) const {
-  std::vector<SeriesKey> out;
-  for (const auto& [key, value] : series_) {
-    if (key.datacenter == datacenter && key.pool == pool &&
-        key.metric == metric && key.server != SeriesKey::kPoolScope) {
-      out.push_back(key);
-    }
-  }
-  sort_keys(out);
-  return out;
-}
-
 AlignedPair MetricStore::pool_scatter(std::uint32_t datacenter,
                                       std::uint32_t pool, MetricKind x,
                                       MetricKind y) const {

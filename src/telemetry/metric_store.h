@@ -93,11 +93,6 @@ class MetricStore {
   /// All keys currently stored, ordered by (datacenter, pool, server,
   /// metric) — deterministic regardless of insertion order.
   [[nodiscard]] std::vector<SeriesKey> keys() const;
-  /// Keys restricted to one pool in one datacenter (server-scope only),
-  /// ordered by server index.
-  [[nodiscard]] std::vector<SeriesKey> server_keys(std::uint32_t datacenter,
-                                                   std::uint32_t pool,
-                                                   MetricKind metric) const;
 
   /// Joined (x,y) scatter of two pool-scope metrics — the exact input shape
   /// for the paper's linear/quadratic fits.

@@ -109,7 +109,7 @@ TEST(ChangeImpact, PredictedLatencyComposesCurves) {
 }
 
 TEST(ChangeImpact, RejectsBadInputs) {
-  EXPECT_THROW(ChangeImpactPlanner(HeadroomPolicy{.qos = {{0.0}, {}}}),
+  EXPECT_THROW(ChangeImpactPlanner(HeadroomPolicy{.qos = {{0.0}}}),
                std::invalid_argument);
   const ChangeImpactPlanner planner(policy_32_8());
   const PoolResponseModel model = production_model();

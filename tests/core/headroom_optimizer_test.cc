@@ -30,7 +30,7 @@ HeadroomPolicy relaxed_policy(double slo_ms) {
 }
 
 TEST(HeadroomOptimizer, RejectsBadInputs) {
-  EXPECT_THROW(HeadroomOptimizer(HeadroomPolicy{.qos = {{0.0}, {}}}),
+  EXPECT_THROW(HeadroomOptimizer(HeadroomPolicy{.qos = {{0.0}}}),
                std::invalid_argument);
   const HeadroomOptimizer opt(relaxed_policy(33.5));
   const PoolResponseModel model = pool_b_model();

@@ -827,6 +827,32 @@ TEST(ScenarioSpec, ValidateRejectsPoolOnDemandLevelEvents) {
   EXPECT_EQ(validate(spec), "");
 }
 
+TEST(ScenarioSpec, ValidateRejectsAFleetFieldItsKindDoesNotTake) {
+  // serialize_scenario writes only the [fleet] keys the kind takes, so a
+  // programmatic spec that sets another one could not round-trip; validate()
+  // gives the parser's diagnostic for it.
+  ScenarioSpec spec;
+  spec.name = "x";
+  spec.fleet = FleetKind::kStandard;
+  spec.servers = 10;
+  EXPECT_EQ(validate(spec),
+            "key 'servers' is not valid for fleet kind 'standard'");
+  spec.servers = ScenarioSpec{}.servers;
+  EXPECT_EQ(validate(spec), "");
+
+  spec.fleet = FleetKind::kSinglePool;
+  spec.heterogeneous = true;
+  EXPECT_EQ(validate(spec),
+            "key 'heterogeneous' is not valid for fleet kind 'single_pool'");
+  spec.heterogeneous = false;
+  spec.services = {"A"};
+  EXPECT_EQ(validate(spec),
+            "key 'services' is not valid for fleet kind 'single_pool'");
+  spec.services.clear();
+  ASSERT_EQ(validate(spec), "");
+  EXPECT_EQ(parse_scenario(serialize_scenario(spec)).spec, spec);
+}
+
 // ---------------------------------------------------------------------------
 // Failover policy selection
 

@@ -45,7 +45,6 @@ FleetConfig eventful_config(const MicroserviceCatalog& catalog,
   surge.multiplier = 3.0;
   surge.datacenter = 2;
   config.events.add(surge);
-  config.record_server_series = true;
   return config;
 }
 

@@ -222,25 +222,6 @@ TEST(FleetSimulator, ServerDayDigestsFlushOnDayBoundary) {
   EXPECT_EQ(fleet.server_day_cpu().size(), 40u);
 }
 
-TEST(FleetSimulator, ServerSeriesOnlyWhenEnabled) {
-  const MicroserviceCatalog catalog;
-  FleetConfig config = tiny_config(catalog);
-  config.record_server_series = false;
-  FleetSimulator fleet(std::move(config), catalog);
-  fleet.run_until(600);
-  EXPECT_TRUE(fleet.store()
-                  .server_keys(0, 0, MetricKind::kRequestsPerSecond)
-                  .empty());
-
-  FleetConfig config2 = tiny_config(catalog);
-  config2.record_server_series = true;
-  FleetSimulator fleet2(std::move(config2), catalog);
-  fleet2.run_until(600);
-  EXPECT_EQ(
-      fleet2.store().server_keys(0, 0, MetricKind::kRequestsPerSecond).size(),
-      20u);
-}
-
 TEST(FleetSimulator, AttributionOffMakesCpuMetricNoisy) {
   const MicroserviceCatalog catalog;
   FleetConfig with = tiny_config(catalog, "A", 10);  // A has hourly spikes

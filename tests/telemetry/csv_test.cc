@@ -37,48 +37,6 @@ const std::vector<double> kAwkwardDoubles = {
     -9.8765432109876543e-7,
 };
 
-TEST(Csv, SeriesExport) {
-  TimeSeries s;
-  s.append(0, 1.5);
-  s.append(120, 2.5);
-  std::ostringstream out;
-  write_series_csv(out, s, "rps");
-  EXPECT_EQ(out.str(), "window_start,rps\n0,1.5\n120,2.5\n");
-}
-
-TEST(Csv, EmptySeriesHeaderOnly) {
-  TimeSeries s;
-  std::ostringstream out;
-  write_series_csv(out, s);
-  EXPECT_EQ(out.str(), "window_start,value\n");
-}
-
-TEST(Csv, ScatterExport) {
-  AlignedPair pair;
-  pair.x = {10.0, 20.0};
-  pair.y = {1.0, 2.0};
-  std::ostringstream out;
-  write_scatter_csv(out, pair, "rps", "cpu");
-  EXPECT_EQ(out.str(), "rps,cpu\n10,1\n20,2\n");
-}
-
-TEST(Csv, ScatterMismatchedLengthsEmitCommonPrefix) {
-  // Regression: y shorter than x used to be read out of bounds.
-  AlignedPair pair;
-  pair.x = {10.0, 20.0, 30.0};
-  pair.y = {1.0};
-  std::ostringstream out;
-  write_scatter_csv(out, pair, "rps", "cpu");
-  EXPECT_EQ(out.str(), "rps,cpu\n10,1\n");
-
-  AlignedPair longer_y;
-  longer_y.x = {10.0};
-  longer_y.y = {1.0, 2.0, 3.0};
-  std::ostringstream out2;
-  write_scatter_csv(out2, longer_y, "rps", "cpu");
-  EXPECT_EQ(out2.str(), "rps,cpu\n10,1\n");
-}
-
 TEST(Csv, PoolExportJoinsMetrics) {
   MetricStore store;
   const SeriesKey rps{0, 0, SeriesKey::kPoolScope,
@@ -242,49 +200,6 @@ TEST(CsvFormatDouble, MatchesTheSnprintfReferenceOnSeededValues) {
       std::memcpy(&bits_value, &bits, sizeof bits_value);
     } while (!std::isfinite(bits_value));
     expect_matches_reference(bits_value);
-  }
-}
-
-TEST(Csv, SeriesExportRoundTripsBitExactly) {
-  TimeSeries s;
-  SimTime t = 0;
-  for (const double v : kAwkwardDoubles) s.append(t += 120, v);
-  std::ostringstream out;
-  write_series_csv(out, s, "cpu_pct_total");
-
-  // Parse the rows back with strtod and compare bits.
-  std::istringstream in(out.str());
-  std::string line;
-  ASSERT_TRUE(std::getline(in, line));  // header
-  for (const double expected : kAwkwardDoubles) {
-    ASSERT_TRUE(std::getline(in, line));
-    const std::size_t comma = line.find(',');
-    ASSERT_NE(comma, std::string::npos);
-    const double v = std::strtod(line.c_str() + comma + 1, nullptr);
-    EXPECT_EQ(v, expected) << line;
-    EXPECT_EQ(std::signbit(v), std::signbit(expected)) << line;
-  }
-}
-
-TEST(Csv, ScatterExportRoundTripsBitExactly) {
-  AlignedPair pair;
-  for (const double v : kAwkwardDoubles) {
-    pair.x.push_back(v);
-    pair.y.push_back(-v);
-  }
-  std::ostringstream out;
-  write_scatter_csv(out, pair, "x", "y");
-  std::istringstream in(out.str());
-  std::string line;
-  ASSERT_TRUE(std::getline(in, line));
-  for (const double expected : kAwkwardDoubles) {
-    ASSERT_TRUE(std::getline(in, line));
-    const std::size_t comma = line.find(',');
-    ASSERT_NE(comma, std::string::npos);
-    char* end = nullptr;
-    EXPECT_EQ(std::strtod(line.c_str(), &end), expected) << line;
-    EXPECT_EQ(std::strtod(line.c_str() + comma + 1, nullptr), -expected)
-        << line;
   }
 }
 

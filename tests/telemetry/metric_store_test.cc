@@ -184,17 +184,6 @@ TEST(MetricStore, PoolSeriesUsesPoolScope) {
   EXPECT_EQ(store.pool_series(0, 1, MetricKind::kRequestsPerSecond).size(), 1u);
 }
 
-TEST(MetricStore, ServerKeysFiltersScopeAndPool) {
-  MetricStore store;
-  store.record({0, 1, 0, MetricKind::kCpuPercentTotal}, 0, 1.0);
-  store.record({0, 1, 1, MetricKind::kCpuPercentTotal}, 0, 2.0);
-  store.record({0, 1, SeriesKey::kPoolScope, MetricKind::kCpuPercentTotal}, 0, 3.0);
-  store.record({0, 2, 0, MetricKind::kCpuPercentTotal}, 0, 4.0);
-  store.record({0, 1, 0, MetricKind::kRequestsPerSecond}, 0, 5.0);
-  const auto keys = store.server_keys(0, 1, MetricKind::kCpuPercentTotal);
-  EXPECT_EQ(keys.size(), 2u);
-}
-
 TEST(MetricStore, PoolScatterAlignsTwoMetrics) {
   MetricStore store;
   for (SimTime t = 0; t < 600; t += 120) {
